@@ -11,19 +11,16 @@ The drill runs three times: once serially, once with ``--jobs 2`` so
 two governor points are checkpointing *concurrently* into their own
 ``point_<index>-<governor>/`` subdirectories when the SIGKILL lands --
 the parallel-safety property the per-point layout exists for -- and
-once timed to land *mid checkpoint interval* under the lazy sync mode:
-right after a checkpoint (whose barrier just materialised the object
-view) plus a fraction of the observed checkpoint cadence, so the
-columnar columns have crossed epoch boundaries that the next
-checkpoint barrier has not yet flushed.  Crash recovery must replay
-from the last *written* checkpoint; unflushed column state dying with
-the process is exactly what the drill proves harmless.
+once timed to land *mid checkpoint interval*: right after a checkpoint
+plus a fraction of the observed checkpoint cadence, so the run has
+crossed epoch boundaries that the next checkpoint has not yet captured.
+Crash recovery must replay from the last *written* checkpoint; state
+dying with the process is exactly what the drill proves harmless.
 
-``--engine columnar|object`` pins every subprocess (reference, victim,
-resume, replay) to one tick engine through the ``REPRO_ENGINE``
-environment variable; the engine is not part of the checkpoint
-fingerprint, so the drill proves crash recovery for whichever engine
-is under test.
+The campaign's m1 set is below ``VEC_MIN_TASKS``, so the drill runs the
+object tick loop that production picks for it.  Crash recovery of the
+columnar loop's lazy column state is covered by
+``tests/checkpoint/test_columnar_resume.py``.
 
 Exits 0 on success, 1 with a diagnostic on any mismatch.
 """
@@ -123,13 +120,6 @@ def run_drill(workdir, env, reference, jobs, min_streams, mid_interval=False):
     tag = f"jobs{jobs or 1}" + ("-midint" if mid_interval else "")
     ckpt_dir = os.path.join(workdir, f"ckpt-{tag}")
     victim_out = os.path.join(workdir, f"victim-{tag}")
-    victim_env = env
-    if mid_interval:
-        # Pin the victim to lazy barriers even if the surrounding CI job
-        # exported another mode: the point is to die holding column
-        # state the next checkpoint barrier never got to materialise.
-        victim_env = dict(env)
-        victim_env["REPRO_COLUMNAR_SYNC"] = "lazy"
     # The victim gets its own session (= its own process group) and the
     # SIGKILL goes to the whole group: with --jobs its pool workers are
     # separate processes, and killing only the parent would orphan them
@@ -139,18 +129,16 @@ def run_drill(workdir, env, reference, jobs, min_streams, mid_interval=False):
     # workers down with the parent.
     victim = subprocess.Popen(
         campaign_command(ckpt_dir, victim_out, jobs=jobs),
-        env=victim_env, cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
+        env=env, cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
         start_new_session=True,
     )
     try:
         seen = wait_for_checkpoint(ckpt_dir, min_streams=min_streams)
         if mid_interval:
-            # A checkpoint just landed, so its sync barrier just ran.
-            # Measure the checkpoint cadence, then sleep a fraction of
-            # it: the tick loop will have crossed epoch boundaries
-            # (placement-driven column rebuilds land every few ticks)
-            # whose state the *next* barrier has not flushed when the
-            # SIGKILL arrives.
+            # A checkpoint just landed.  Measure the checkpoint cadence,
+            # then sleep a fraction of it: the tick loop will have
+            # crossed epoch boundaries whose state the *next* checkpoint
+            # has not captured when the SIGKILL arrives.
             start = time.monotonic()
             seen = wait_for_new_checkpoint(ckpt_dir, len(seen))
             cadence = time.monotonic() - start
@@ -202,22 +190,13 @@ def run_drill(workdir, env, reference, jobs, min_streams, mid_interval=False):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--engine", choices=("columnar", "object"), default=None,
-        help="pin every subprocess (reference, victim, resume, replay) to "
-             "one tick engine via REPRO_ENGINE (default: engine default)",
-    )
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     workdir = tempfile.mkdtemp(prefix="kill-resume-")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")) if p
     )
-    if args.engine is not None:
-        env["REPRO_ENGINE"] = args.engine
-        print(f"engine pinned to {args.engine} for all drill subprocesses")
     try:
         # Reference: the same campaign, never interrupted.
         ref_out = os.path.join(workdir, "reference")
@@ -236,7 +215,7 @@ def main():
         if not run_drill(workdir, env, reference, jobs=2, min_streams=2):
             return 1
         # Mid-interval victim: killed between an epoch boundary and the
-        # next checkpoint barrier, with unflushed lazy column state.
+        # next checkpoint.
         if not run_drill(
             workdir, env, reference, jobs=None, min_streams=1,
             mid_interval=True,

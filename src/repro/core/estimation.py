@@ -21,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .market import Market
+import numpy as _np
 
-try:  # pragma: no cover - numpy is baked into the image
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+from .market import Market
 
 #: demand estimator: (task_id, cluster_id) -> steady-state demand in PUs.
 DemandLookup = Callable[[str, str], float]
@@ -425,7 +422,7 @@ class SteadyStateEstimator:
                     continue
                 core_supply = cluster.supply_ladder[target_level]
                 core_saturated = core_demands[core_id] > core_supply + _EPS
-                if _np is not None and len(tids) >= _VEC_EVAL_MIN_TASKS:
+                if len(tids) >= _VEC_EVAL_MIN_TASKS:
                     # Vectorized per-task arithmetic: every expression is
                     # the elementwise image of the scalar branch below
                     # (the priority sum keeps its left-to-right fold), so

@@ -39,14 +39,9 @@ from .agents import (
     TaskAgent,
     distribute_allowance,
 )
+from ..sim.engine import VEC_MIN_TASKS
 from .config import MarketConfig
 from . import vecmarket
-
-#: Below this population the per-agent loops beat the gather/scatter cost
-#: of the array kernels, so small markets (including the pinned golden
-#: scenarios) keep the scalar path.  The threshold depends only on market
-#: state, so both simulation engines take the same path for the same run.
-_VEC_MIN_TASKS = 32
 
 
 @dataclass
@@ -725,7 +720,7 @@ class Market:
         else:
             self.chip.classify(obs.chip_power_w)
 
-        use_vec = vecmarket.AVAILABLE and len(self.tasks) >= _VEC_MIN_TASKS
+        use_vec = len(self.tasks) >= VEC_MIN_TASKS
         if use_vec:
             # Steps 3-5 plus the persistence counters, as array kernels.
             allocations, prices = self._run_clearing_vectorized(

@@ -27,12 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - numpy is baked into the image
-    import numpy as np
-except Exception:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-AVAILABLE = np is not None
+import numpy as np
 
 _EPS = 1e-9
 _NEG_INF = float("-inf")
@@ -820,4 +815,4 @@ class BatchMappingEvaluator:
         }
 
 
-__all__ = ["AVAILABLE", "BatchMappingEvaluator", "CandidateVerdict"]
+__all__ = ["BatchMappingEvaluator", "CandidateVerdict"]

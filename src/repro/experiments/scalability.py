@@ -245,10 +245,9 @@ class FullSimPoint:
     sim_s: float
     ticks: int
     columnar_ticks_per_s: float
-    object_ticks_per_s: float
-    #: Columnar engine forced to per-tick write-through
-    #: (``REPRO_COLUMNAR_SYNC=eager``); the gap to the lazy default is
-    #: the measured cost of materialising the object view every tick.
+    #: Columnar loop forced to per-tick write-through (``sync_mode =
+    #: "eager"``); the gap to lazy is the measured cost of materialising
+    #: the object view every tick.
     eager_ticks_per_s: float = 0.0
 
     @property
@@ -257,12 +256,6 @@ class FullSimPoint:
         if self.columnar_ticks_per_s <= 0.0 or self.eager_ticks_per_s <= 0.0:
             return 0.0
         return 100.0 * (1.0 - self.eager_ticks_per_s / self.columnar_ticks_per_s)
-
-    @property
-    def speedup(self) -> float:
-        if self.object_ticks_per_s <= 0.0:
-            return float("inf")
-        return self.columnar_ticks_per_s / self.object_ticks_per_s
 
     @property
     def ms_per_tick(self) -> float:
@@ -276,25 +269,21 @@ class FullSimPoint:
         return self.ms_per_tick * (MIGRATION_INTERVAL_MS / 10.0)
 
 
-def _time_full_sim(
-    n_tasks: int, sim_s: float, engine: str, sync_mode: Optional[str] = None
-) -> float:
-    """Ticks/s of one full simulation run at ``n_tasks`` tasks."""
+def _time_full_sim(n_tasks: int, sim_s: float, sync_mode: str) -> float:
+    """Ticks/s of one columnar simulation run at ``n_tasks`` tasks."""
     from ..hw import tc2_chip
-    from ..sim import SimConfig, Simulation
+    from ..sim import SimConfig
+    from ..sim.columnar import ColumnarSimulation
     from ..tasks import random_tasks
     from .harness import make_governor
 
-    sim = Simulation(
+    sim = ColumnarSimulation(
         tc2_chip(),
         random_tasks(n_tasks, seed=7),
         make_governor("PPM", power_cap_w=8.0),
-        config=SimConfig(
-            seed=7, metrics_warmup_s=sim_s / 4.0, engine=engine
-        ),
+        config=SimConfig(seed=7, metrics_warmup_s=sim_s / 4.0),
     )
-    if sync_mode is not None:
-        sim.sync_mode = sync_mode
+    sim.sync_mode = sync_mode
     start = time.perf_counter()
     sim.run(sim_s)
     elapsed = time.perf_counter() - start
@@ -305,39 +294,33 @@ def full_sim_points(
     sizes: Sequence[Tuple[int, float]] = FULL_SIM_SIZES,
     repeats: int = 2,
 ) -> List[FullSimPoint]:
-    """Time the *actual* engine (both loops) at Table 7 populations.
+    """Time the *actual* engine at Table 7 populations.
 
     The paper's Table 7 emulates the constrained core's work; these rows
     run the complete simulator -- market, LBT, dispatch, telemetry -- at
-    1,000 and 10,000 tasks, which the columnar tick engine makes
-    tractable end to end.  Both engines produce bit-identical telemetry
-    (``tests/sim/test_columnar_equivalence.py``), so the speedup column
-    is a pure implementation comparison.
+    1,000 and 10,000 tasks.  Every size is at or above
+    :data:`~repro.sim.engine.VEC_MIN_TASKS`, so ``Simulation(...)`` runs
+    the columnar loop there; the rows time it under lazy barriers and
+    under eager per-tick write-through.
     """
     # Warm-up run: the first simulation in a process pays allocator and
     # CPU-frequency ramp costs that would bias whichever column runs
     # first (the lazy-vs-eager delta is small enough to be swamped).
-    _time_full_sim(50, 0.3, "columnar", "lazy")
+    _time_full_sim(50, 0.3, "lazy")
 
     def _best(*args) -> float:
         return max(_time_full_sim(*args) for _ in range(max(1, repeats)))
 
-    points = []
-    for n_tasks, sim_s in sizes:
-        columnar = _best(n_tasks, sim_s, "columnar", "lazy")
-        eager = _best(n_tasks, sim_s, "columnar", "eager")
-        obj = _best(n_tasks, sim_s, "object")
-        points.append(
-            FullSimPoint(
-                tasks=n_tasks,
-                sim_s=sim_s,
-                ticks=round(sim_s / 0.01),
-                columnar_ticks_per_s=columnar,
-                object_ticks_per_s=obj,
-                eager_ticks_per_s=eager,
-            )
+    return [
+        FullSimPoint(
+            tasks=n_tasks,
+            sim_s=sim_s,
+            ticks=round(sim_s / 0.01),
+            columnar_ticks_per_s=_best(n_tasks, sim_s, "lazy"),
+            eager_ticks_per_s=_best(n_tasks, sim_s, "eager"),
         )
-    return points
+        for n_tasks, sim_s in sizes
+    ]
 
 
 def table7_extended(
@@ -356,8 +339,6 @@ def table7_extended(
             f"{p.columnar_ticks_per_s:.1f}",
             f"{p.eager_ticks_per_s:.1f}",
             f"{p.write_through_cost_pct:.1f}",
-            f"{p.object_ticks_per_s:.1f}",
-            f"{p.speedup:.2f}",
             f"{p.ms_per_tick:.2f}",
             f"{p.overhead_per_interval_ms:.1f}",
         ]
@@ -370,15 +351,13 @@ def table7_extended(
             "lazy t/s",
             "eager t/s",
             "write-through [%]",
-            "object t/s",
-            "speedup",
             "ms/tick",
             "wall ms / 190 ms interval",
         ],
         rows,
         title=(
             "Table 7 (extended): full-engine wall cost at scale "
-            "(columnar lazy/eager vs object tick loop)"
+            "(columnar tick loop, lazy vs eager sync)"
         ),
     )
     return points, sim_points, text + "\n\n" + extra

@@ -4,9 +4,9 @@
 -- dispatch, load tracking, heart-rate monitoring, metrics capture -- as
 vectorized passes over struct-of-arrays numpy buffers; the ``Task``
 object graph becomes a lazily-materialised *view* of those buffers,
-refreshed at observation boundaries.  Selected via
-``SimConfig(engine="columnar")`` (the default); ``engine="object"``
-forces the reference loop.
+refreshed at observation boundaries.  ``Simulation(...)`` builds it for
+populations of at least :data:`~repro.sim.engine.VEC_MIN_TASKS` tasks;
+constructing ``ColumnarSimulation(...)`` directly forces it at any size.
 
 Design invariants (enforced by ``tests/sim/test_columnar_equivalence.py``
 and ``tests/sim/test_sync_barrier.py``):
@@ -27,10 +27,10 @@ and ``tests/sim/test_sync_barrier.py``):
   stamps) make the barrier a no-op when nothing changed.  The floats a
   barrier materialises are exactly the floats per-tick write-through
   would have produced, so observers cannot distinguish the modes.
-  ``REPRO_COLUMNAR_SYNC`` selects the policy: ``lazy`` (default),
-  ``eager`` (write-through every tick, the pre-barrier behaviour) or
-  ``poison`` (lazy, plus a debug sentinel written to the view attributes
-  between barriers so an unsynchronised read raises
+  :attr:`ColumnarSimulation.sync_mode` selects the policy: ``lazy``
+  (default), ``eager`` (write-through every tick, the differential
+  reference) or ``poison`` (lazy, plus a debug sentinel written to the
+  view attributes between barriers so an unsynchronised read raises
   :class:`PoisonedStateError` instead of returning a stale float).
   Out-of-band *mutators* of hot attributes must still call
   :meth:`Simulation.invalidate_task_cache` afterwards (which itself
@@ -54,25 +54,19 @@ import math
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly via AVAILABLE
-    import numpy as np
-
-    AVAILABLE = True
-except ImportError:  # pragma: no cover - toolchain bakes numpy in
-    np = None  # type: ignore[assignment]
-    AVAILABLE = False
+import numpy as np
 
 from ..tasks.heartbeats import HeartRateMonitor
 from ..tasks.phases import ConstantPhase, SinusoidalPhases, SquareWavePhases
 from ..tasks.task import Task
-from .engine import Simulation, default_sync_mode
+from .engine import Simulation
 from .metrics import MetricsCollector, TaskSample, TickColumnBuffer, TickSample
 
 
 class PoisonedStateError(RuntimeError):
     """An object attribute was read between sync barriers (poison mode).
 
-    Raised when ``REPRO_COLUMNAR_SYNC=poison`` and code consumes a
+    Raised when ``sync_mode == "poison"`` and code consumes a
     ``Task`` hot attribute without an intervening
     :meth:`ColumnarSimulation.sync`; the fix is a ``sim.sync()`` call at
     the offending observation site, never a re-pin of expected values.
@@ -740,8 +734,8 @@ class ColumnarMetrics(MetricsCollector):
 class ColumnarSimulation(Simulation):
     """Simulation with the struct-of-arrays hot loop.
 
-    Constructed transparently by ``Simulation(...)`` when
-    ``SimConfig.engine == "columnar"`` and numpy is importable.
+    Constructed transparently by ``Simulation(...)`` for populations of
+    at least :data:`~repro.sim.engine.VEC_MIN_TASKS` tasks.
     """
 
     def __init__(self, chip, tasks, governor, config=None, migration_cost_model=None):
@@ -760,10 +754,12 @@ class ColumnarSimulation(Simulation):
         # (starts, ends, max_start, all_unbounded) for the vector
         # active-task scan; rebuilt on invalidate_task_cache.
         self._task_window: Optional[tuple] = None
-        #: Write-through policy: "lazy" | "eager" | "poison".  Read every
+        #: Write-through policy: "lazy" | "eager" | "poison".  Lazy is the
+        #: production policy; eager (per-tick write-through) and poison
+        #: (sentinels between barriers) are test references.  Read every
         #: tick, so tests may flip it between steps; the value changes
         #: when barriers run, never what they materialise.
-        self.sync_mode: str = default_sync_mode()
+        self.sync_mode: str = "lazy"
         #: Barriers that actually flushed state (observability for tests
         #: and the lazy-vs-eager benchmark column).
         self.sync_count: int = 0

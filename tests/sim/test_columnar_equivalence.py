@@ -1,5 +1,9 @@
 """Differential equivalence: columnar engine vs reference object engine.
 
+``Simulation(...)`` picks the loop from the task count; these tests
+force each loop at any population by constructing the class directly
+(:func:`_build` bypasses the dispatch in ``Simulation.__new__``).
+
 The columnar tick engine (:mod:`repro.sim.columnar`) promises *bit-exact*
 telemetry: every per-tick record, every task attribute, every load-tracker
 entry (including dict insertion order) must match the per-object reference
@@ -32,15 +36,17 @@ from repro.sim.columnar import ColumnarSimulation
 from repro.tasks import build_workload, random_tasks
 
 
-def _build(engine, *, workload, governor, seed, noise_w, fault, duration_s,
-           thermal=None, estimation=None, power_cap_w=10.0):
+def _build(loop, *, workload, governor, seed, noise_w, fault, duration_s,
+           thermal=None, estimation=None, power_cap_w=10.0, sync_mode="lazy"):
     chip = tc2_chip()
     tasks = (
         random_tasks(workload[1], seed=workload[2])
         if workload[0] == "random"
         else build_workload(workload[1])
     )
-    sim = Simulation(
+    # object.__new__ skips the task-count dispatch, forcing ``loop``.
+    sim = object.__new__(loop)
+    sim.__init__(
         chip,
         tasks,
         make_governor(governor, power_cap_w=power_cap_w),
@@ -51,9 +57,10 @@ def _build(engine, *, workload, governor, seed, noise_w, fault, duration_s,
             sensor_noise_std_w=noise_w,
             thermal=thermal,
             estimation=estimation,
-            engine=engine,
         ),
     )
+    if loop is ColumnarSimulation:
+        sim.sync_mode = sync_mode
     if fault is not None:
         schedule = build_campaign_schedule(
             CAMPAIGN_FAULTS[fault], duration_s + 6.0, 1.0, 0.4, chip
@@ -119,30 +126,38 @@ GOLDEN_SCENARIOS = [
 
 
 class TestGoldenScenarioEquivalence:
+    # eager (per-tick write-through) is the reference the lazy barrier
+    # contract is held to; both must match the object loop.
+    @pytest.mark.parametrize("sync_mode", ["lazy", "eager"])
     @pytest.mark.parametrize(
         "governor,workload,seed,duration_s,noise_w,fault",
         GOLDEN_SCENARIOS,
         ids=lambda v: str(v),
     )
     def test_engines_agree(self, governor, workload, seed, duration_s,
-                           noise_w, fault):
+                           noise_w, fault, sync_mode):
         kw = dict(workload=workload, governor=governor, seed=seed,
                   noise_w=noise_w, fault=fault, duration_s=duration_s)
-        obj = _build("object", **kw)
-        col = _build("columnar", **kw)
-        label = "%s/%s/seed=%d/fault=%s" % (governor, workload[1], seed, fault)
+        obj = _build(Simulation, **kw)
+        col = _build(ColumnarSimulation, sync_mode=sync_mode, **kw)
+        label = "%s/%s/seed=%d/fault=%s/%s" % (
+            governor, workload[1], seed, fault, sync_mode)
         _assert_equivalent(obj, col, label)
 
 
 class TestManyTasksEquivalence:
-    """The perf-bench shape itself: random task mixes at several sizes."""
+    """The perf-bench shape itself: random task mixes at several sizes.
 
-    @pytest.mark.parametrize("n", [4, 17, 50])
+    31 and 32 straddle ``VEC_MIN_TASKS``, where the market, demand and
+    LBT kernels switch from scalar to vector paths.
+    """
+
+    @pytest.mark.parametrize("n", [4, 17, 31, 32, 50])
     def test_random_mix(self, n):
         kw = dict(workload=("random", n, 7), governor="PPM", seed=7,
                   noise_w=0.0, fault=None, duration_s=3.0, power_cap_w=8.0)
-        obj = _build("object", **kw)
-        col = _build("columnar", **kw)
+        obj = _build(Simulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
         _assert_equivalent(obj, col, "random/n=%d" % n)
 
 
@@ -179,8 +194,8 @@ class TestHypothesisEquivalence:
             thermal=ThermalConfig() if cfg["thermal"] else None,
             estimation=EstimationConfig() if cfg["estimation"] else None,
         )
-        obj = _build("object", **kw)
-        col = _build("columnar", **kw)
+        obj = _build(Simulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
         _assert_equivalent(obj, col, repr(cfg))
 
 
@@ -190,8 +205,8 @@ class TestMetricsSamplesMatchExactly:
     def test_sample_dataclasses_identical(self):
         kw = dict(workload=("random", 17, 7), governor="PPM", seed=7,
                   noise_w=0.0, fault=None, duration_s=3.0, power_cap_w=8.0)
-        obj = _build("object", **kw)
-        col = _build("columnar", **kw)
+        obj = _build(Simulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
         sa, sb = obj.metrics.samples, col.metrics.samples
         assert len(sa) == len(sb)
         for k, (x, y) in enumerate(zip(sa, sb)):

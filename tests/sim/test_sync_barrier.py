@@ -9,7 +9,7 @@ materialises the ``Task`` object view at observation boundaries
   *identical* values whether the engine writes through eagerly on every
   tick or materialises lazily at the barrier (hypothesis-generated
   observation plans, exact equality);
-* **poison mode** -- with ``REPRO_COLUMNAR_SYNC=poison`` a deliberately
+* **poison mode** -- with ``sync_mode = "poison"`` a deliberately
   unsynchronised read of a hot ``Task`` attribute raises
   :class:`PoisonedStateError`, and the same read succeeds (with the
   eager-mode value) after a barrier;
@@ -28,7 +28,7 @@ from repro.checkpoint import tick_records
 from repro.checkpoint.snapshot import snapshot_simulation
 from repro.experiments.harness import make_governor
 from repro.hw import tc2_chip
-from repro.sim import SimConfig, Simulation
+from repro.sim import SimConfig
 from repro.sim.columnar import ColumnarSimulation, PoisonedStateError
 from repro.tasks import random_tasks
 
@@ -42,13 +42,12 @@ _HOT_ATTRS = (
 
 
 def _make(sync_mode, *, n_tasks=6, seed=11):
-    sim = Simulation(
+    sim = ColumnarSimulation(
         tc2_chip(),
         random_tasks(n_tasks, seed=seed),
         make_governor("PPM", power_cap_w=8.0),
-        config=SimConfig(seed=seed, metrics_warmup_s=0.0, engine="columnar"),
+        config=SimConfig(seed=seed, metrics_warmup_s=0.0),
     )
-    assert type(sim) is ColumnarSimulation
     sim.sync_mode = sync_mode
     return sim
 
