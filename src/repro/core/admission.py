@@ -30,11 +30,10 @@ must afford; a task's budget grows with its user priority ``r_t``
 exactly like the paper's allowance distribution, so high-priority
 requests keep full QoS deepest into an overload.
 
-Like the thermal ladder, transitions move at most one rung per
-``check_period_s`` and step down only once pressure has fallen
-``hysteresis`` below the current rung's entry threshold, so the ladder
-cannot chatter.  All state is snapshot/restorable so checkpoint/resume
-and replay stay bit-exact through a flash crowd.
+The rungs walk a :class:`~repro.core.ladder.Ladder` evaluated once per
+``check_period_s`` (one calm check per descent), so the ladder cannot
+chatter.  All state is snapshot/restorable so checkpoint/resume and
+replay stay bit-exact through a flash crowd.
 """
 
 from __future__ import annotations
@@ -44,28 +43,17 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ..tasks.arrivals import ArrivalRecord, ArrivalStream
+from .ladder import Ladder
 
 
 class AdmissionState(Enum):
-    """Rung on the admission degradation ladder."""
+    """Rung on the admission degradation ladder, calmest to most defensive."""
 
     OPEN = "open"
     DEGRADED = "degraded"
     QUEUE = "queue"
     SHED = "shed"
     REJECT = "reject"
-
-
-#: Ladder order, calmest to most defensive.  Transitions move one rung
-#: per evaluation, so escalation is always degraded -> queue -> shed ->
-#: reject, never a jump.
-_LADDER = [
-    AdmissionState.OPEN,
-    AdmissionState.DEGRADED,
-    AdmissionState.QUEUE,
-    AdmissionState.SHED,
-    AdmissionState.REJECT,
-]
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,8 @@ class AdmissionConfig:
             entry thresholds of the four defensive rungs (pressure 1.0
             means offered demand exactly matches sellable supply).
         hysteresis: Pressure must fall this far below the current rung's
-            entry threshold before the ladder steps back down.
+            entry threshold before the ladder steps back down; below
+            ``degrade_at``, since pressure is never negative.
         queue_capacity: Bounded backpressure -- arrivals beyond this
             queue depth are rejected (overflow).
         queue_timeout_s: Queued arrivals older than this are dropped.
@@ -122,8 +111,11 @@ class AdmissionConfig:
             raise ValueError(
                 "thresholds must ascend: degrade < queue < shed < reject"
             )
-        if self.hysteresis <= 0:
-            raise ValueError("hysteresis must be positive")
+        if not 0 < self.hysteresis < self.degrade_at:
+            raise ValueError(
+                "hysteresis must be positive and below degrade_at, or the "
+                "ladder can never leave DEGRADED"
+            )
         if self.queue_capacity < 1:
             raise ValueError("queue capacity must be positive")
         if self.queue_timeout_s <= 0:
@@ -153,16 +145,15 @@ class AdmissionController:
 
     def __init__(self, config: Optional[AdmissionConfig] = None):
         self.config = config or AdmissionConfig()
-        self.state = AdmissionState.OPEN
+        config = self.config
+        self._ladder = Ladder(
+            AdmissionState,
+            (config.degrade_at, config.queue_at, config.shed_at, config.reject_at),
+            config.hysteresis,
+        )
         self._next_check_s = 0.0
         #: FIFO of ``(record, enqueued_s)`` awaiting admission.
         self._queue: List[Tuple[ArrivalRecord, float]] = []
-        self._entry = {
-            AdmissionState.DEGRADED: self.config.degrade_at,
-            AdmissionState.QUEUE: self.config.queue_at,
-            AdmissionState.SHED: self.config.shed_at,
-            AdmissionState.REJECT: self.config.reject_at,
-        }
         self.last_pressure = 0.0
         # -- counters (all snapshot/restored) --
         self.offered = 0
@@ -183,6 +174,10 @@ class AdmissionController:
         self.samples: List[tuple] = []
 
     # -- queries -----------------------------------------------------------------
+    @property
+    def state(self) -> AdmissionState:
+        return self._ladder.state
+
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
@@ -231,17 +226,11 @@ class AdmissionController:
             core_type = core.cluster.core_type if core is not None else "A7"
             demand += task.profile.nominal_demand_pus(core_type)
         if supply <= 0.0:
-            return self._entry[AdmissionState.REJECT] if demand > 0 else 0.0
+            return self.config.reject_at if demand > 0 else 0.0
         pressure = demand / supply
         supervisor = getattr(sim, "thermal_supervisor", None)
-        if supervisor is not None:
-            from .resilience import ThermalState, _LADDER as _THERMAL_LADDER
-
-            hot = _THERMAL_LADDER.index(supervisor.max_state) >= _THERMAL_LADDER.index(
-                ThermalState.WARN
-            )
-            if hot:
-                pressure *= 1.0 + self.config.thermal_surcharge
+        if supervisor is not None and supervisor.hot:
+            pressure *= 1.0 + self.config.thermal_surcharge
         estimation = getattr(sim, "estimation", None)
         if estimation is not None and estimation.degraded:
             # Estimated-power analogue of the thermal surcharge: a
@@ -267,17 +256,9 @@ class AdmissionController:
         logic the simulation uses.
         """
         self.last_pressure = pressure
-        rank = _LADDER.index(self.state)
-        new_rank = rank
-        if rank < len(_LADDER) - 1 and pressure >= self._entry[_LADDER[rank + 1]]:
-            new_rank = rank + 1
-        elif rank > 0 and pressure < self._entry[self.state] - self.config.hysteresis:
-            new_rank = rank - 1
-        if new_rank != rank:
-            self.transitions.append(
-                (now_s, _LADDER[rank].value, _LADDER[new_rank].value, pressure)
-            )
-            self.state = _LADDER[new_rank]
+        old = self.state
+        if self._ladder.step(pressure):
+            self.transitions.append((now_s, old.value, self.state.value, pressure))
         return self.state
 
     # -- queue -------------------------------------------------------------------
@@ -291,7 +272,7 @@ class AdmissionController:
         self._queue = keep
 
     def _drain_queue(self, sim, manager) -> None:
-        if _LADDER.index(self.state) > _LADDER.index(AdmissionState.DEGRADED):
+        if self._ladder.reached(AdmissionState.QUEUE):
             return
         for _ in range(min(self.config.drain_per_check, len(self._queue))):
             record, _enqueued = self._queue.pop(0)
@@ -358,7 +339,7 @@ class AdmissionController:
             self.evaluate_ladder(now, pressure)
             self._expire_queue(now)
             self._drain_queue(sim, manager)
-            if _LADDER.index(self.state) >= _LADDER.index(AdmissionState.SHED):
+            if self._ladder.reached(AdmissionState.SHED):
                 self._shed(sim, manager)
             self.samples.append(
                 (now, pressure, self.state.value, len(self._queue))
@@ -392,7 +373,7 @@ class AdmissionController:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self.state = AdmissionState(state["state"])
+        self._ladder.state = AdmissionState(state["state"])
         self._next_check_s = state["next_check_s"]
         self._queue = [
             (ArrivalRecord.from_json_dict(record), enqueued_s)
@@ -451,22 +432,6 @@ class OverloadManager:
                 None if self.controller is None else self.controller.identity()
             ),
         }
-
-    def admitted_task_names(self) -> List[str]:
-        return [entry["record"]["name"] for entry in self._spawn_log]
-
-    def committed_task_names(self) -> List[str]:
-        """Admitted tasks whose commitment was kept (never shed).
-
-        The tail-QoS population: shedding *withdraws* a commitment so the
-        remaining admitted tasks can be served -- counting the shed
-        (deliberately sacrificed) tasks would make every shed look like a
-        QoS failure and hide exactly the protection it buys.
-        """
-        if self.controller is None:
-            return self.admitted_task_names()
-        shed = set(self.controller.shed_names)
-        return [n for n in self.admitted_task_names() if n not in shed]
 
     def stats(self) -> Dict[str, int]:
         if self.controller is not None:

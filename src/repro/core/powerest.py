@@ -26,7 +26,7 @@ chip exactly the way it would on hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..hw.counters import (
     CYCLES_SCALE,
@@ -70,7 +70,8 @@ class EstimationConfig:
             MARGIN rung (> 1): over-reporting power makes every governor
             act conservatively while the model is suspect.
         hysteresis: Health-score slack subtracted from a rung's entry
-            threshold before the ladder steps back down.
+            threshold before the ladder steps back down; below the
+            FROZEN entry (1.0), since the score is never negative.
         recovery_checks: Consecutive healthy evaluations required per
             downward rung (with :attr:`hysteresis`, prevents flapping).
     """
@@ -123,14 +124,22 @@ class EstimationConfig:
             raise ValueError(
                 f"margin_factor must exceed 1, got {self.margin_factor}"
             )
-        if self.hysteresis < 0:
+        if not 0 <= self.hysteresis < self.entries[0]:
             raise ValueError(
-                f"hysteresis must be non-negative, got {self.hysteresis}"
+                "hysteresis must be non-negative and below the FROZEN entry "
+                f"{self.entries[0]}, or the ladder can never leave FROZEN, "
+                f"got {self.hysteresis}"
             )
         if self.recovery_checks < 1:
             raise ValueError(
                 f"recovery_checks must be at least 1, got {self.recovery_checks}"
             )
+
+    @property
+    def entries(self) -> Tuple[float, float, float]:
+        """Health-score entry thresholds of the FROZEN, MARGIN and
+        FALLBACK rungs, in multiples of ``innovation_gate_w``."""
+        return (1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)

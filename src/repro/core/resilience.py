@@ -27,6 +27,7 @@ from enum import Enum
 from typing import Dict, List, Optional
 
 from ..hw.sensors import SensorSample
+from .ladder import Ladder
 
 
 @dataclass
@@ -430,26 +431,14 @@ class ThermalState(Enum):
     TRIP = "trip"
 
 
-#: Ladder order, coolest to hottest.  Transitions move one rung per
-#: evaluation, so escalation is always warn -> throttle -> shed -> trip.
-_LADDER = [
-    ThermalState.NORMAL,
-    ThermalState.WARN,
-    ThermalState.THROTTLE,
-    ThermalState.SHED,
-    ThermalState.TRIP,
-]
-
-
 class ThermalSupervisor:
     """Graduated thermal degradation with hysteresis.
 
     Driven by the engine every tick with the *sensed* thermal sample (so a
     stuck thermal sensor blinds it, exactly like hardware); it evaluates
-    each cluster at most once per ``check_period_s`` and moves that
-    cluster one rung up the ladder when its temperature reaches the next
-    rung's entry threshold, or one rung down when it has cooled below the
-    current rung's entry threshold minus ``hysteresis_k``:
+    each cluster at most once per ``check_period_s`` on that cluster's
+    :class:`~repro.core.ladder.Ladder` (entries ``warn_c`` .. ``trip_c``,
+    hysteresis ``hysteresis_k``, one calm check per descent):
 
     * **warn** -- asks the governor (when it exposes
       ``set_thermal_surcharge``) to inflate observed power, so a price-
@@ -470,15 +459,10 @@ class ThermalSupervisor:
     def __init__(self, config, tcrit_c: float = 95.0):
         self.config = config
         self.tcrit_c = tcrit_c
-        self._states: Dict[str, ThermalState] = {}
+        #: One ladder per cluster, created at its first evaluation.
+        self._ladders: Dict[str, Ladder] = {}
         self._next_check_s = 0.0
         self._tripped: set = set()
-        self._entry_c = {
-            ThermalState.WARN: config.warn_c,
-            ThermalState.THROTTLE: config.throttle_c,
-            ThermalState.SHED: config.shed_c,
-            ThermalState.TRIP: config.trip_c,
-        }
         self.warnings = 0
         self.throttles = 0
         self.sheds = 0
@@ -490,7 +474,8 @@ class ThermalSupervisor:
 
     # -- queries -----------------------------------------------------------------
     def state_of(self, cluster_id: str) -> ThermalState:
-        return self._states.get(cluster_id, ThermalState.NORMAL)
+        ladder = self._ladders.get(cluster_id)
+        return ThermalState.NORMAL if ladder is None else ladder.state
 
     @property
     def unrecovered_trips(self) -> int:
@@ -498,10 +483,11 @@ class ThermalSupervisor:
         return len(self._tripped)
 
     @property
-    def max_state(self) -> ThermalState:
-        if not self._states:
-            return ThermalState.NORMAL
-        return max(self._states.values(), key=_LADDER.index)
+    def hot(self) -> bool:
+        """Whether any cluster sits at WARN or hotter."""
+        return any(
+            ladder.reached(ThermalState.WARN) for ladder in self._ladders.values()
+        )
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -538,24 +524,16 @@ class ThermalSupervisor:
 
     # -- ladder mechanics --------------------------------------------------------
     def _evaluate(self, sim, cluster, temp: float, sample) -> None:
-        cluster_id = cluster.cluster_id
-        state = self.state_of(cluster_id)
-        rank = _LADDER.index(state)
-        new_rank = rank
-        if rank < len(_LADDER) - 1 and temp >= self._entry_c[_LADDER[rank + 1]]:
-            new_rank = rank + 1
-        elif rank > 0 and temp < self._entry_c[state] - self.config.hysteresis_k:
-            new_rank = rank - 1
-        if new_rank != rank:
-            self._transition(sim, cluster, state, _LADDER[new_rank], sample)
-        self._states[cluster_id] = _LADDER[new_rank]
-        self._adjust_ceiling(sim, cluster, temp)
-
-    def _transition(self, sim, cluster, old: ThermalState, new: ThermalState, sample) -> None:
-        self.transitions.append(
-            (sim.now, cluster.cluster_id, old.value, new.value)
-        )
-        if _LADDER.index(new) > _LADDER.index(old):
+        cid = cluster.cluster_id
+        ladder = self._ladders.get(cid)
+        if ladder is None:
+            ladder = self._ladders[cid] = self._new_ladder()
+        old = ladder.state
+        move = ladder.step(temp)
+        new = ladder.state
+        if move:
+            self.transitions.append((sim.now, cid, old.value, new.value))
+        if move > 0:
             if new is ThermalState.WARN:
                 self.warnings += 1
             elif new is ThermalState.THROTTLE:
@@ -566,13 +544,20 @@ class ThermalSupervisor:
             elif new is ThermalState.TRIP:
                 self.trips += 1
                 sim.hotplug_out(cluster)
-                self._tripped.add(cluster.cluster_id)
-        elif old is ThermalState.TRIP and cluster.cluster_id in self._tripped:
+                self._tripped.add(cid)
+        elif move < 0 and old is ThermalState.TRIP and cid in self._tripped:
             sim.hotplug_in(cluster)
-            self._tripped.discard(cluster.cluster_id)
+            self._tripped.discard(cid)
             self.recoveries += 1
+        self._adjust_ceiling(sim, cluster, ladder, temp)
 
-    def _adjust_ceiling(self, sim, cluster, temp: float) -> None:
+    def _new_ladder(self) -> Ladder:
+        c = self.config
+        return Ladder(
+            ThermalState, (c.warn_c, c.throttle_c, c.shed_c, c.trip_c), c.hysteresis_k
+        )
+
+    def _adjust_ceiling(self, sim, cluster, ladder: Ladder, temp: float) -> None:
         """Ratchet the V-F ceiling while at or above the throttle rung.
 
         One level per evaluation in either direction: down while the
@@ -580,10 +565,9 @@ class ThermalSupervisor:
         dropped below the throttle rung, clearing the ceiling entirely
         when it returns to the table's top level.
         """
-        state = self.state_of(cluster.cluster_id)
         ceiling = sim.level_ceiling_of(cluster.cluster_id)
         max_index = cluster.vf_table.max_index
-        if _LADDER.index(state) >= _LADDER.index(ThermalState.THROTTLE):
+        if ladder.reached(ThermalState.THROTTLE):
             if temp >= self.config.throttle_c:
                 current = max_index if ceiling is None else ceiling
                 sim.set_level_ceiling(cluster, max(0, current - 1))
@@ -616,13 +600,14 @@ class ThermalSupervisor:
         hook = getattr(sim.governor, "set_thermal_surcharge", None)
         if hook is None:
             return
-        hot = _LADDER.index(self.max_state) >= _LADDER.index(ThermalState.WARN)
-        hook(self.config.warn_surcharge if hot else 0.0)
+        hook(self.config.warn_surcharge if self.hot else 0.0)
 
     # -- snapshot/restore (checkpointing) ----------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
         return {
-            "states": {cid: state.value for cid, state in self._states.items()},
+            "states": {
+                cid: ladder.state.value for cid, ladder in self._ladders.items()
+            },
             "next_check_s": self._next_check_s,
             "tripped": sorted(self._tripped),
             "warnings": self.warnings,
@@ -635,9 +620,10 @@ class ThermalSupervisor:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self._states = {
-            cid: ThermalState(value) for cid, value in state["states"].items()
-        }
+        self._ladders = {}
+        for cid, value in state["states"].items():
+            ladder = self._ladders[cid] = self._new_ladder()
+            ladder.state = ThermalState(value)
         self._next_check_s = state["next_check_s"]
         self._tripped = set(state["tripped"])
         self.warnings = state["warnings"]
@@ -658,23 +644,6 @@ class EstimatorState(Enum):
     FALLBACK = "fallback"
 
 
-#: Ladder order, healthy to degraded.  Like the thermal ladder,
-#: transitions move one rung per evaluation.
-_ESTIMATOR_LADDER = [
-    EstimatorState.HEALTHY,
-    EstimatorState.FROZEN,
-    EstimatorState.MARGIN,
-    EstimatorState.FALLBACK,
-]
-
-#: Health-score (worst-cluster innovation EWMA / gate) entry thresholds.
-_ESTIMATOR_ENTRY = {
-    EstimatorState.FROZEN: 1.0,
-    EstimatorState.MARGIN: 2.0,
-    EstimatorState.FALLBACK: 4.0,
-}
-
-
 class EstimatorSupervisor:
     """Sanity-gates power estimates and degrades the estimator gracefully.
 
@@ -690,8 +659,8 @@ class EstimatorSupervisor:
 
     **Degradation ladder** (evaluated once per ``check_period_s``): the
     health score is the worst cluster's innovation EWMA divided by
-    ``innovation_gate_w``.  Escalation moves one rung per evaluation when
-    the score reaches the next rung's entry threshold:
+    ``innovation_gate_w``, walked on a :class:`~repro.core.ladder.Ladder`
+    with the config's ``entries``, ``hysteresis`` and ``recovery_checks``:
 
     * **frozen** -- coefficient updates stop, holding the last model that
       tracked reality; the innovation EWMA keeps scoring the held model
@@ -703,19 +672,16 @@ class EstimatorSupervisor:
       out of the loop, so re-learning is free), letting a post-fault
       model re-converge and climb back down the ladder.
 
-    Descent requires the score below the *current* rung's entry threshold
-    minus ``hysteresis`` for ``recovery_checks`` consecutive evaluations,
-    then moves one rung down, so recovery never flaps and never skips a
-    rung either.  Every transition is recorded as
-    ``(time_s, from_state, to_state, score)``.
+    Every transition is recorded as ``(time_s, from_state, to_state, score)``.
     """
 
     def __init__(self, config, max_cluster_power_w: Dict[str, float]):
         self.config = config
         self._max_power = dict(max_cluster_power_w)
-        self.state = EstimatorState.HEALTHY
+        self._ladder = Ladder(
+            EstimatorState, config.entries, config.hysteresis, config.recovery_checks
+        )
         self._next_check_s = 0.0
-        self._healthy_checks = 0
         self.nonfinite_reads = 0
         self.clamped_reads = 0
         self.rejected_reads = 0
@@ -728,11 +694,13 @@ class EstimatorSupervisor:
 
     # -- queries -----------------------------------------------------------------
     @property
+    def state(self) -> EstimatorState:
+        return self._ladder.state
+
+    @property
     def degraded(self) -> bool:
         """Margin or worse: admission should price in the uncertainty."""
-        return _ESTIMATOR_LADDER.index(self.state) >= _ESTIMATOR_LADDER.index(
-            EstimatorState.MARGIN
-        )
+        return self._ladder.reached(EstimatorState.MARGIN)
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -786,41 +754,20 @@ class EstimatorSupervisor:
     # -- ladder mechanics --------------------------------------------------------
     def _evaluate(self, sim, estimator) -> None:
         score = estimator.health_score()
-        rank = _ESTIMATOR_LADDER.index(self.state)
-        new_rank = rank
-        if (
-            rank < len(_ESTIMATOR_LADDER) - 1
-            and score >= _ESTIMATOR_ENTRY[_ESTIMATOR_LADDER[rank + 1]]
-        ):
-            new_rank = rank + 1
-            self._healthy_checks = 0
-        elif (
-            rank > 0
-            and score < _ESTIMATOR_ENTRY[self.state] - self.config.hysteresis
-        ):
-            self._healthy_checks += 1
-            if self._healthy_checks >= self.config.recovery_checks:
-                new_rank = rank - 1
-                self._healthy_checks = 0
-        else:
-            self._healthy_checks = 0
-        if new_rank != rank:
-            self._transition(sim, estimator, _ESTIMATOR_LADDER[new_rank], score)
-
-    def _transition(self, sim, estimator, new: EstimatorState, score: float) -> None:
         old = self.state
+        move = self._ladder.step(score)
+        if not move:
+            return
+        new = self.state
         self.transitions.append((sim.now, old.value, new.value, score))
-        self.state = new
-        new_rank = _ESTIMATOR_LADDER.index(new)
-        if new_rank > _ESTIMATOR_LADDER.index(old):
-            if new is EstimatorState.FROZEN:
-                self.freezes += 1
-            elif new is EstimatorState.MARGIN:
-                self.margins += 1
-            elif new is EstimatorState.FALLBACK:
-                self.fallbacks += 1
-        else:
+        if move < 0:
             self.recoveries += 1
+        elif new is EstimatorState.FROZEN:
+            self.freezes += 1
+        elif new is EstimatorState.MARGIN:
+            self.margins += 1
+        elif new is EstimatorState.FALLBACK:
+            self.fallbacks += 1
         # Hold the model while its output is still being served (frozen /
         # margin); let it learn when it is out of the loop (healthy) or
         # shadow-retraining behind the metered fallback.
@@ -834,7 +781,7 @@ class EstimatorSupervisor:
         return {
             "state": self.state.value,
             "next_check_s": self._next_check_s,
-            "healthy_checks": self._healthy_checks,
+            "healthy_checks": self._ladder.calm,
             "nonfinite_reads": self.nonfinite_reads,
             "clamped_reads": self.clamped_reads,
             "rejected_reads": self.rejected_reads,
@@ -846,9 +793,9 @@ class EstimatorSupervisor:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self.state = EstimatorState(state["state"])
+        self._ladder.state = EstimatorState(state["state"])
         self._next_check_s = state["next_check_s"]
-        self._healthy_checks = state["healthy_checks"]
+        self._ladder.calm = state["healthy_checks"]
         self.nonfinite_reads = state["nonfinite_reads"]
         self.clamped_reads = state["clamped_reads"]
         self.rejected_reads = state["rejected_reads"]

@@ -16,10 +16,11 @@ the market clears grants under three rules:
   electricity price: cheap-region chips clear more watts per unit of
   demand than expensive-region ones.
 * **Readmission ladder** -- a chip returning from a crash re-enters the
-  auction at a fraction of its claim and climbs one rung per healthy
-  epoch with hysteresis (:class:`ReadmissionLadder`), mirroring the
-  AdmissionController/ThermalSupervisor ladder idiom, so recovery can
-  never oscillate the budget split.
+  auction at a fraction of its claim and climbs at most one rung per
+  ``hysteresis_epochs`` healthy epochs (:class:`ReadmissionLadder`), so
+  recovery can never oscillate the budget split.  Unlike the threshold
+  ladders of :mod:`repro.core.ladder`, its moves are events: a failure
+  drops it to DOWN and a restart puts it on the bottom rung.
 """
 
 from __future__ import annotations

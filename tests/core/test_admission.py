@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import AdmissionConfig, AdmissionController, AdmissionState
-from repro.core.admission import _LADDER
 from repro.tasks import ArrivalRecord
+
+#: Rungs in definition order, calmest to most defensive.
+LADDER = list(AdmissionState)
+RANK = {state: rank for rank, state in enumerate(LADDER)}
 
 
 def make_record(index=1, priority=2, arrival_s=0.0):
@@ -37,10 +40,10 @@ class TestLadderProperties:
     @given(sequence=pressures)
     def test_never_skips_a_rung(self, sequence):
         controller = AdmissionController()
-        rank = _LADDER.index(controller.state)
+        rank = RANK[controller.state]
         for i, pressure in enumerate(sequence):
             controller.evaluate_ladder(float(i), pressure)
-            new_rank = _LADDER.index(controller.state)
+            new_rank = RANK[controller.state]
             assert abs(new_rank - rank) <= 1
             rank = new_rank
 
@@ -60,13 +63,13 @@ class TestLadderProperties:
         for i, pressure in enumerate(sequence):
             before = controller.state
             after = controller.evaluate_ladder(float(i), pressure)
-            rank, new_rank = _LADDER.index(before), _LADDER.index(after)
+            rank, new_rank = RANK[before], RANK[after]
             if new_rank > rank:
                 assert pressure >= entry[after]
             elif new_rank < rank:
                 assert pressure < entry[before] - config.hysteresis
             else:
-                up = rank + 1 < len(_LADDER) and pressure >= entry[_LADDER[rank + 1]]
+                up = rank + 1 < len(LADDER) and pressure >= entry[LADDER[rank + 1]]
                 down = rank > 0 and pressure < entry[before] - config.hysteresis
                 assert not up and not down
 
@@ -159,6 +162,19 @@ class TestConfigValidation:
     def test_bad_configs_raise(self, overrides):
         with pytest.raises(ValueError):
             AdmissionConfig(**overrides)
+
+    @pytest.mark.parametrize("hysteresis", [0.85, 0.9])
+    def test_hysteresis_that_wedges_degraded_is_rejected(self, hysteresis):
+        # Pressure is never negative, so with hysteresis >= degrade_at no
+        # signal undercuts ``degrade_at - hysteresis`` and DEGRADED sticks.
+        with pytest.raises(ValueError, match="leave DEGRADED"):
+            AdmissionConfig(degrade_at=0.85, hysteresis=hysteresis)
+
+    def test_largest_valid_hysteresis_still_descends(self):
+        controller = AdmissionController(AdmissionConfig(hysteresis=0.84))
+        controller.evaluate_ladder(0.0, 0.85)
+        assert controller.state is AdmissionState.DEGRADED
+        assert controller.evaluate_ladder(1.0, 0.0) is AdmissionState.OPEN
 
 
 class TestSnapshot:

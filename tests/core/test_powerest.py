@@ -18,13 +18,11 @@ from repro.core.powerest import (
     EstimationManager,
     PowerEstimator,
 )
-from repro.core.resilience import (
-    _ESTIMATOR_ENTRY,
-    _ESTIMATOR_LADDER,
-    EstimatorState,
-    EstimatorSupervisor,
-)
+from repro.core.resilience import EstimatorState, EstimatorSupervisor
 from repro.hw import tc2_chip
+
+#: Rung rank by the enum's definition order, healthy to degraded.
+RANK = {state: rank for rank, state in enumerate(EstimatorState)}
 
 
 class TestEstimationConfigValidation:
@@ -49,6 +47,7 @@ class TestEstimationConfigValidation:
             ({"hysteresis": -0.1}, "hysteresis must be non-negative"),
             ({"recovery_checks": 0}, "recovery_checks must be at least 1"),
             ({"counters": object()}, "counters must be a CounterConfig"),
+            ({"hysteresis": 1.0}, "can never leave FROZEN"),
         ],
     )
     def test_bad_values_rejected_with_context(self, kwargs, message):
@@ -179,9 +178,7 @@ class TestEstimatorLadderProperties:
         supervisor, sim, estimator = make_supervisor()
         visited = drive(supervisor, sim, estimator, scores)
         for old, new in zip(visited, visited[1:]):
-            assert abs(
-                _ESTIMATOR_LADDER.index(new) - _ESTIMATOR_LADDER.index(old)
-            ) <= 1
+            assert abs(RANK[new] - RANK[old]) <= 1
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -224,10 +221,17 @@ class TestEstimatorLadderProperties:
         drive(supervisor, sim, estimator, [1.5])
         assert supervisor.state is EstimatorState.FROZEN
         # Just under entry but inside the hysteresis band: stays put.
-        entry = _ESTIMATOR_ENTRY[EstimatorState.FROZEN]
+        entry = supervisor.config.entries[0]  # the FROZEN rung's entry
         drive(supervisor, sim, estimator, [entry - 0.1] * 10)
         assert supervisor.state is EstimatorState.FROZEN
         drive(supervisor, sim, estimator, [entry - 0.3])
+        assert supervisor.state is EstimatorState.HEALTHY
+
+    def test_largest_valid_hysteresis_still_recovers(self):
+        supervisor, sim, estimator = make_supervisor(
+            hysteresis=0.99, recovery_checks=1
+        )
+        drive(supervisor, sim, estimator, [1.5, 0.0])
         assert supervisor.state is EstimatorState.HEALTHY
 
     def test_freeze_follows_served_rungs_only(self):
