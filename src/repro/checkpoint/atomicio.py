@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from typing import Iterable, Union
 
 
 def fsync_directory(path: str) -> None:
@@ -34,13 +35,19 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: str, text: str) -> str:
+def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> str:
     """Atomically replace ``path`` with ``text``; returns ``path``.
 
-    The destination directory is created if missing.  Readers never see a
+    ``text`` is a string or an iterable of string pieces written in
+    order, so a large document can be streamed without joining it.  The
+    destination directory is created if missing.  Readers never see a
     partial file: they observe the old content until the atomic
-    ``os.replace``, and the new content after it.
+    ``os.replace``, and the new content after it.  If writing fails --
+    including the piece iterator raising -- the temporary file is removed
+    and ``path`` is left untouched.
     """
+    if isinstance(text, str):
+        text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
@@ -48,7 +55,7 @@ def atomic_write_text(path: str, text: str) -> str:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

@@ -4,6 +4,9 @@ A :class:`CheckpointManager` attaches to a :class:`~repro.sim.Simulation`
 (``sim.checkpointer``); the engine calls :meth:`on_tick` at the end of
 every tick and the manager writes a crash-consistent checkpoint every
 ``interval_s`` of simulated time, pruning old files down to ``retention``.
+The manager keeps the telemetry rows it has already encoded, so a save
+costs the ticks since the previous save plus the non-telemetry state,
+not the whole run so far; the files are the same either way.
 Several managers can share one directory by using distinct ``stream``
 labels (the fault campaign gives each governor its own).
 
@@ -19,14 +22,62 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from .snapshot import restore_simulation, simulation_fingerprint, snapshot_simulation
+from .snapshot import (
+    restore_simulation,
+    simulation_fingerprint,
+    snapshot_without_telemetry,
+)
 from .store import (
     CHECKPOINT_GLOB_RE,
     CheckpointEnvelope,
+    EncodedRows,
     checkpoint_filename,
     read_checkpoint,
     write_checkpoint,
 )
+
+#: Telemetry rows encoded per chunk: bounds the transient dicts a save
+#: builds, whatever the number of new ticks.
+_ROWS_PER_CHUNK = 128
+
+
+class _TelemetryCache:
+    """Append-only encoded copy of one simulation's telemetry rows.
+
+    Valid while ``sim.metrics.samples`` is the same list object, has not
+    shrunk, and still holds the last cached row object at its index;
+    restore (and the columnar ``samples`` setter) replace the list, which
+    starts the cache over.  Relies on a :class:`~repro.sim.metrics.TickSample`
+    never being mutated once appended.
+    """
+
+    def __init__(self) -> None:
+        self._reset(None)
+
+    def _reset(self, samples: Optional[list]) -> None:
+        self._samples = samples
+        self._count = 0
+        self._last: Any = None
+        self.rows = EncodedRows()
+
+    def update(self, samples: list) -> EncodedRows:
+        """Encode the rows appended since the last call; returns all rows."""
+        count = self._count
+        if (
+            samples is not self._samples
+            or len(samples) < count
+            or (count and samples[count - 1] is not self._last)
+        ):
+            self._reset(samples)
+            count = 0
+        total = len(samples)
+        for start in range(count, total, _ROWS_PER_CHUNK):
+            chunk = samples[start : start + _ROWS_PER_CHUNK]
+            self.rows.extend([sample.to_json() for sample in chunk])
+        if total > count:
+            self._count = total
+            self._last = samples[total - 1]
+        return self.rows
 
 
 class CheckpointManager:
@@ -70,6 +121,7 @@ class CheckpointManager:
         self.fingerprint: Optional[str] = None
         self.saves = 0
         self._interval_ticks: Optional[int] = None
+        self._telemetry = _TelemetryCache()
 
     def attach(self, sim) -> "CheckpointManager":
         """Install this manager as ``sim.checkpointer``; returns self."""
@@ -89,7 +141,8 @@ class CheckpointManager:
         """Write one checkpoint now; returns its path."""
         if self.fingerprint is None:
             self.attach(sim)
-        payload = snapshot_simulation(sim)
+        payload = snapshot_without_telemetry(sim)
+        rows = self._telemetry.update(sim.metrics.samples)
         if self.extra_payload is not None:
             payload["extra"] = self.extra_payload
         path = os.path.join(
@@ -101,6 +154,7 @@ class CheckpointManager:
             fingerprint=self.fingerprint,
             tick_index=sim.tick_index,
             sim_time_s=sim.now,
+            rows=rows,
         )
         self.saves += 1
         self._prune()

@@ -12,7 +12,7 @@ first differing tick and the exact fields that differ.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from .atomicio import atomic_write_text
@@ -35,11 +35,11 @@ def tick_records(metrics) -> List[Dict[str, Any]]:
     """
     records = []
     for sample in metrics.samples:
-        record = asdict(sample)
-        if record.get("cluster_temperature_c") is None:
-            record.pop("cluster_temperature_c", None)
-        if record.get("estimated_chip_power_w") is None:
-            record.pop("estimated_chip_power_w", None)
+        record = sample.to_json()
+        if record["cluster_temperature_c"] is None:
+            del record["cluster_temperature_c"]
+        if record["estimated_chip_power_w"] is None:
+            del record["estimated_chip_power_w"]
         records.append(record)
     return records
 

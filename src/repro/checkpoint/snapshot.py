@@ -32,9 +32,9 @@ from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 from ..hw.sensors import SensorSample, ThermalSample
-from ..sim.metrics import TaskSample, TickSample
+from ..sim.metrics import TickSample
 from ..sim.migration import MigrationRecord
-from .store import CheckpointError, canonical_json
+from .store import ROWS_PLACEHOLDER, CheckpointError, canonical_json
 
 #: Attribute names every generic governor snapshot skips: engine-owned
 #: objects the factory rebuilds (snapshotting them would duplicate state
@@ -312,6 +312,19 @@ def generic_restore(obj: Any, state: Dict[str, Any], task_by_name: Dict[str, Any
 # ---------------------------------------------------------------------------
 def snapshot_simulation(sim) -> Dict[str, Any]:
     """Capture every mutable bit of ``sim`` into a JSON-serialisable dict."""
+    payload = snapshot_without_telemetry(sim)
+    payload["metrics"]["samples"] = [s.to_json() for s in sim.metrics.samples]
+    return payload
+
+
+def snapshot_without_telemetry(sim) -> Dict[str, Any]:
+    """:func:`snapshot_simulation` with the per-tick telemetry left out.
+
+    ``payload["metrics"]["samples"]`` holds :data:`~.store.ROWS_PLACEHOLDER`
+    instead of the rows: :func:`~.store.write_checkpoint` splices their
+    pre-encoded text in at that spot, so a save need not re-encode the
+    ticks an earlier save already encoded.
+    """
     # Checkpoint barrier: materialise the object view (task attributes,
     # load dict) before reading it; no-op on the reference engine.
     sim.sync()
@@ -329,7 +342,7 @@ def snapshot_simulation(sim) -> Dict[str, Any]:
         },
         "migrations": [asdict(r) for r in sim.migrations.history],
         "metrics": {
-            "samples": [asdict(s) for s in sim.metrics.samples],
+            "samples": ROWS_PLACEHOLDER,
             "audit_violations": list(sim.metrics.audit_violations),
         },
         "sensor": _snapshot_sensor(sim),
@@ -651,25 +664,7 @@ def _restore_engine(sim, state: Dict[str, Any], task_by_name: Dict[str, Any]) ->
 
 
 def _restore_metrics(sim, state: Dict[str, Any]) -> None:
-    sim.metrics.samples = [
-        TickSample(
-            time_s=s["time_s"],
-            chip_power_w=s["chip_power_w"],
-            cluster_power_w=dict(s["cluster_power_w"]),
-            cluster_frequency_mhz=dict(s["cluster_frequency_mhz"]),
-            tasks={
-                name: TaskSample(**task_sample)
-                for name, task_sample in s["tasks"].items()
-            },
-            cluster_temperature_c=(
-                None
-                if s.get("cluster_temperature_c") is None
-                else dict(s["cluster_temperature_c"])
-            ),
-            estimated_chip_power_w=s.get("estimated_chip_power_w"),
-        )
-        for s in state["samples"]
-    ]
+    sim.metrics.samples = [TickSample.from_json(s) for s in state["samples"]]
     sim.metrics.audit_violations = list(state["audit_violations"])
 
 

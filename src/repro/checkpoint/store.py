@@ -29,8 +29,9 @@ import hashlib
 import json
 import os
 import re
+import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from .atomicio import atomic_write_text
 
@@ -66,6 +67,71 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: Payload value standing in for a list whose items arrive pre-encoded
+#: as :class:`EncodedRows`; :func:`write_checkpoint` splices them in.
+ROWS_PLACEHOLDER = "\u0000repro-encoded-rows\u0000"
+_PLACEHOLDER_JSON = json.dumps(ROWS_PLACEHOLDER)
+
+
+class EncodedRows:
+    """A JSON list held as text, in both of a checkpoint's encodings.
+
+    Items arrive in batches; each batch becomes one chunk per form,
+    encoded without the enclosing brackets, canonically (for the payload
+    checksum) and with ``json.dumps`` defaults (for the file).  Encoding
+    is compositional, so the chunks joined by ``","`` resp. ``", "``
+    inside ``[...]`` equal encoding the whole list at once.  Chunks are
+    kept zlib-compressed (telemetry text shrinks about 6x): a manager
+    holds them for the whole run, so they add to its peak memory.
+    """
+
+    __slots__ = ("_canonical", "_file")
+
+    def __init__(self) -> None:
+        self._canonical: List[bytes] = []
+        self._file: List[bytes] = []
+
+    def extend(self, items: List[Any]) -> None:
+        """Encode ``items`` and append them as one chunk to each form."""
+        if items:
+            self._canonical.append(_pack(canonical_json(items)[1:-1]))
+            self._file.append(_pack(json.dumps(items)[1:-1]))
+
+    def canonical(self) -> Iterator[str]:
+        """The canonical-form chunks, decompressed one at a time."""
+        return map(_unpack, self._canonical)
+
+    def file(self) -> Iterator[str]:
+        """The file-form chunks, decompressed one at a time."""
+        return map(_unpack, self._file)
+
+
+def _pack(text: str) -> bytes:
+    # json.dumps escapes non-ASCII by default, so the text is ASCII.
+    return zlib.compress(text.encode("ascii"), 1)
+
+
+def _unpack(chunk: bytes) -> str:
+    return zlib.decompress(chunk).decode("ascii")
+
+
+def _splice(text: str, chunks: Iterable[str], sep: str) -> Iterator[str]:
+    """``text`` in pieces, the placeholder replaced by ``[chunks...]``."""
+    head, marker, tail = text.partition(_PLACEHOLDER_JSON)
+    if _PLACEHOLDER_JSON in tail:
+        raise ValueError("a checkpoint payload holds at most one rows placeholder")
+    yield head
+    if not marker:
+        return
+    yield "["
+    for index, chunk in enumerate(chunks):
+        if index:
+            yield sep
+        yield chunk
+    yield "]"
+    yield tail
+
+
 def payload_checksum(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -93,18 +159,30 @@ def write_checkpoint(
     fingerprint: str,
     tick_index: int,
     sim_time_s: float,
+    rows: Optional[EncodedRows] = None,
 ) -> str:
-    """Atomically write one checkpoint file; returns ``path``."""
+    """Atomically write one checkpoint file; returns ``path``.
+
+    ``rows`` are spliced in where ``payload`` holds
+    :data:`ROWS_PLACEHOLDER` (a payload without one is written as is).
+    Checksum and file are fed piecewise, so the whole document is never
+    built as one string.
+    """
+    if rows is None:
+        rows = EncodedRows()
+    digest = hashlib.sha256()
+    for piece in _splice(canonical_json(payload), rows.canonical(), ","):
+        digest.update(piece.encode("utf-8"))
     envelope = {
         "magic": _MAGIC,
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "fingerprint": fingerprint,
         "tick_index": tick_index,
         "sim_time_s": sim_time_s,
-        "payload_sha256": payload_checksum(payload),
+        "payload_sha256": digest.hexdigest(),
         "payload": payload,
     }
-    return atomic_write_text(path, json.dumps(envelope))
+    return atomic_write_text(path, _splice(json.dumps(envelope), rows.file(), ", "))
 
 
 def read_checkpoint(

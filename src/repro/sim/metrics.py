@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..tasks.task import Task
 
@@ -45,6 +45,10 @@ class TickSample:
     ``estimated_chip_power_w`` follows the same rule for estimated-power
     runs (``SimConfig.estimation``): it is the chip power the governors
     were served, ``None`` when estimation is off.
+
+    A sample is never mutated once it is appended to
+    :attr:`MetricsCollector.samples`: checkpoint managers cache its
+    encoded form across saves.
     """
 
     time_s: float
@@ -54,6 +58,54 @@ class TickSample:
     tasks: Dict[str, TaskSample]
     cluster_temperature_c: Optional[Dict[str, float]] = None
     estimated_chip_power_w: Optional[float] = None
+
+    def to_json(self) -> Dict[str, Any]:
+        """This sample as a plain dict, equal to what ``asdict`` builds.
+
+        The one definition of the telemetry JSON layout: checkpoints,
+        journals and restore all go through this and :meth:`from_json`.
+        Spelled out because ``asdict``'s recursive deep copy is the
+        dominant cost of encoding a long run's telemetry; the cluster
+        dicts are the sample's own, not copies, so treat them as
+        read-only like the sample itself.
+        """
+        return {
+            "time_s": self.time_s,
+            "chip_power_w": self.chip_power_w,
+            "cluster_power_w": self.cluster_power_w,
+            "cluster_frequency_mhz": self.cluster_frequency_mhz,
+            "tasks": {
+                name: {
+                    "heart_rate": ts.heart_rate,
+                    "below_min": ts.below_min,
+                    "outside_range": ts.outside_range,
+                    "granted_pus": ts.granted_pus,
+                    "demand_pus": ts.demand_pus,
+                }
+                for name, ts in self.tasks.items()
+            },
+            "cluster_temperature_c": self.cluster_temperature_c,
+            "estimated_chip_power_w": self.estimated_chip_power_w,
+        }
+
+    @classmethod
+    def from_json(cls, data: Dict[str, Any]) -> "TickSample":
+        """Inverse of :meth:`to_json`; absent optional fields read as ``None``.
+
+        The sample takes over ``data``'s cluster dicts rather than
+        copying them.
+        """
+        return cls(
+            time_s=data["time_s"],
+            chip_power_w=data["chip_power_w"],
+            cluster_power_w=data["cluster_power_w"],
+            cluster_frequency_mhz=data["cluster_frequency_mhz"],
+            tasks={
+                name: TaskSample(**ts) for name, ts in data["tasks"].items()
+            },
+            cluster_temperature_c=data.get("cluster_temperature_c"),
+            estimated_chip_power_w=data.get("estimated_chip_power_w"),
+        )
 
 
 class TickColumnBuffer:

@@ -18,7 +18,7 @@ from repro.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.checkpoint.store import CHECKPOINT_GLOB_RE
+from repro.checkpoint.store import CHECKPOINT_GLOB_RE, ROWS_PLACEHOLDER, EncodedRows
 
 
 PAYLOAD = {"engine": {"tick_index": 7}, "tasks": [{"name": "a", "beats": 1.5}]}
@@ -55,6 +55,27 @@ class TestAtomicWrite:
     def test_leaves_no_temp_files_behind(self, tmp_path):
         path = os.path.join(str(tmp_path), "file.txt")
         atomic_write_text(path, "content")
+        assert os.listdir(str(tmp_path)) == ["file.txt"]
+
+    def test_streams_pieces_in_order(self, tmp_path):
+        path = os.path.join(str(tmp_path), "file.txt")
+        atomic_write_text(path, (piece for piece in ["a", "bc", "", "d"]))
+        with open(path) as handle:
+            assert handle.read() == "abcd"
+        assert os.listdir(str(tmp_path)) == ["file.txt"]
+
+    def test_failing_piece_iterator_keeps_previous_file(self, tmp_path):
+        path = os.path.join(str(tmp_path), "file.txt")
+        atomic_write_text(path, "previous")
+
+        def pieces():
+            yield "x" * (1 << 20)  # past any buffer: bytes reach the temp file
+            raise RuntimeError("encoder died mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            atomic_write_text(path, pieces())
+        with open(path) as handle:
+            assert handle.read() == "previous"
         assert os.listdir(str(tmp_path)) == ["file.txt"]
 
 
@@ -120,6 +141,47 @@ class TestEnvelope:
         assert payload_checksum({"a": 1, "b": 2}) == payload_checksum(
             {"b": 2, "a": 1}
         )
+
+
+class TestEncodedRows:
+    ROWS = [{"b": 1.5, "a": [1, 2]}, {"z": None}, {"y": "s"}, {}]
+
+    def _spliced(self, tmp_path, chunks):
+        rows = EncodedRows()
+        for chunk in chunks:
+            rows.extend(chunk)
+        payload = {"metrics": {"samples": ROWS_PLACEHOLDER, "n": 4}, "x": 1}
+        path = os.path.join(str(tmp_path), "spliced.json")
+        write_checkpoint(path, payload, "f" * 64, 7, 0.07, rows=rows)
+        return path
+
+    def _inline(self, tmp_path, items):
+        payload = {"metrics": {"samples": items, "n": 4}, "x": 1}
+        path = os.path.join(str(tmp_path), "inline.json")
+        write_checkpoint(path, payload, "f" * 64, 7, 0.07)
+        return path
+
+    @pytest.mark.parametrize("split", [0, 1, 3, 4])
+    def test_spliced_file_equals_inline_file(self, tmp_path, split):
+        chunks = [self.ROWS[:split], self.ROWS[split:]]
+        spliced = self._spliced(tmp_path, chunks)
+        inline = self._inline(tmp_path, self.ROWS)
+        with open(spliced, "rb") as a, open(inline, "rb") as b:
+            assert a.read() == b.read()
+        assert read_checkpoint(spliced).payload["metrics"]["samples"] == self.ROWS
+
+    def test_no_rows_is_an_empty_list(self, tmp_path):
+        spliced = self._spliced(tmp_path, [])
+        inline = self._inline(tmp_path, [])
+        with open(spliced, "rb") as a, open(inline, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_two_placeholders_are_refused(self, tmp_path):
+        payload = {"a": ROWS_PLACEHOLDER, "b": ROWS_PLACEHOLDER}
+        path = os.path.join(str(tmp_path), "twice.json")
+        with pytest.raises(ValueError, match="at most one"):
+            write_checkpoint(path, payload, "f" * 64, 7, 0.07, rows=EncodedRows())
+        assert not os.path.exists(path)
 
 
 class TestNamingAndListing:
