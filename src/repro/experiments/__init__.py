@@ -5,6 +5,8 @@
 * Figure 7: :mod:`repro.experiments.priorities`
 * Figure 8: :mod:`repro.experiments.savings`
 * Table 7: :mod:`repro.experiments.scalability`
+* Robustness harnesses (fault campaigns, soak, overload, model error):
+  one runner and report format in :mod:`repro.experiments.scenario`
 * CLI: ``repro-experiments <table1|...|fig8|all>``
 """
 
@@ -20,8 +22,6 @@ from .campaigns import (
     merged_windows,
     run_fault_campaign,
     run_soak,
-    write_campaign_report,
-    write_soak_report,
 )
 from .comparative import ComparativeResult, figure4, figure5, figure6, run_comparative
 from .modelerror import (
@@ -31,7 +31,6 @@ from .modelerror import (
     ModelErrorRun,
     build_model_error_schedule,
     run_model_error_campaign,
-    write_model_error_report,
 )
 from .harness import (
     DEFAULT_DURATION_S,
@@ -53,12 +52,11 @@ from .overload import (
     build_overload_arrivals,
     run_overload,
     run_overload_soak,
-    write_overload_report,
-    write_overload_soak_report,
 )
 from .priorities import PriorityResult, figure7, run_priority_experiment
 from .running_examples import SingleCoreScenario, table1, table2, table3, table4
 from .savings import SavingsResult, figure8, run_savings_experiment
+from .scenario import write_report
 from .sweeps import SweepPoint, SweepResult, sweep_parameter
 from .validation import ClaimResult, ValidationReport, validate_reproduction
 from .scalability import (
@@ -89,11 +87,8 @@ __all__ = [
     "ModelErrorRun",
     "build_model_error_schedule",
     "run_model_error_campaign",
-    "write_model_error_report",
     "run_fault_campaign",
     "run_soak",
-    "write_campaign_report",
-    "write_soak_report",
     "ConstrainedCoreEmulator",
     "OVERLOAD_MULTIPLIER",
     "OVERLOAD_TDP_W",
@@ -104,8 +99,6 @@ __all__ = [
     "build_overload_arrivals",
     "run_overload",
     "run_overload_soak",
-    "write_overload_report",
-    "write_overload_soak_report",
     "DEFAULT_DURATION_S",
     "DEFAULT_WARMUP_S",
     "GOVERNOR_NAMES",
@@ -142,4 +135,5 @@ __all__ = [
     "full_sim_points",
     "FullSimPoint",
     "validate_reproduction",
+    "write_report",
 ]

@@ -11,8 +11,8 @@ and recovers:
 * market audit violations (PPM only -- the books must survive faults).
 
 Reports land in ``results/campaign_<fault>.txt`` (+ ``.json``) through
-the existing reporting conventions, and the CLI exposes this as
-``repro-experiments campaign --fault <kind>``.
+:func:`~repro.experiments.scenario.write_report`, and the CLI exposes
+this as ``repro-experiments campaign --fault <kind>``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..checkpoint import (
     write_journal,
 )
 from ..checkpoint.store import CHECKPOINT_GLOB_RE
-from ..core.powerest import EstimationConfig
 from ..faults import (
     COUNTER_FAULTS,
     FLEET_FAULTS,
@@ -46,11 +45,19 @@ from ..faults import (
     parse_fault_kind,
     periodic_faults,
 )
-from ..hw import ThermalConfig, ThermalParams, ThermalProtectionConfig, tc2_chip
-from ..sim import SimConfig, Simulation
-from ..tasks import build_workload
-from .harness import capped_tdp_w, make_governor
-from .parallel import PointSpec, execute_points
+from ..hw import tc2_chip
+from ..sim import Simulation
+from .harness import capped_tdp_w
+from .scenario import (
+    Column,
+    Report,
+    build_simulation,
+    fan_out,
+    governor_grid,
+    peak_temperature_c,
+    point_identity,
+    seconds_or_never,
+)
 
 #: CLI spellings of the single-chip injectable fault kinds.  Fleet-tier
 #: kinds (``FLEET_FAULTS``) address worker *processes*, which a one-chip
@@ -63,24 +70,6 @@ CAMPAIGN_FAULTS: Dict[str, FaultKind] = {
 
 #: Governors every campaign exercises by default.
 DEFAULT_CAMPAIGN_GOVERNORS: Tuple[str, ...] = ("PPM", "HPM", "HL")
-
-#: RC parameters for thermal campaigns and soak runs.  Chosen so a
-#: fault-free big cluster settles well below the WARN threshold (~6 W
-#: peak -> ~61 degC against warn_c = 70), which makes every trip-ladder
-#: engagement attributable to the injected fault and guarantees full
-#: recovery once the fault window closes.
-CAMPAIGN_THERMAL_PARAMS = ThermalParams(
-    resistance_k_per_w=6.0, capacitance_j_per_k=0.5, ambient_c=25.0
-)
-
-
-def campaign_thermal_config(chip) -> ThermalConfig:
-    """Thermal tracking plus the full protection ladder for campaign sims."""
-    return ThermalConfig(
-        params={c.cluster_id: CAMPAIGN_THERMAL_PARAMS for c in chip.clusters},
-        protection=ThermalProtectionConfig(),
-    )
-
 
 @dataclass
 class CampaignRun:
@@ -104,7 +93,7 @@ class CampaignRun:
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(Report):
     """One campaign: a fault kind swept across governors."""
 
     fault: str
@@ -115,44 +104,22 @@ class CampaignResult:
     windows: List[Tuple[float, float]]
     runs: List[CampaignRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    REPORT_STEM = "campaign_{fault}"
+    COLUMNS = (
+        Column("governor", "<10", lambda r: r.governor),
+        Column("miss in-fault", ">13", lambda r: r.miss_fraction_in_fault, ".3f"),
+        Column("miss outside", ">13", lambda r: r.miss_fraction_outside_fault, ".3f"),
+        Column("recovery (s)", ">13", lambda r: seconds_or_never(r.recovery_time_s)),
+        Column("TDP-viol (s)", ">13", lambda r: r.tdp_violation_s, ".2f"),
+        Column("avg W", ">7", lambda r: r.average_power_w, ".2f"),
+        Column("audits", ">7", lambda r: r.audit_violations, "d"),
+    )
+
+    def header(self) -> str:
+        return (
             f"Fault campaign: {self.fault}  (workload {self.workload}, "
             f"{self.duration_s:.0f} s, intensity {self.intensity:.2f}, "
             f"TDP {self.tdp_w:.1f} W, {len(self.windows)} fault windows)"
-        )
-        columns = (
-            f"{'governor':<10} {'miss in-fault':>13} {'miss outside':>13} "
-            f"{'recovery (s)':>13} {'TDP-viol (s)':>13} {'avg W':>7} {'audits':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            recovery = (
-                f"{run.recovery_time_s:.2f}"
-                if run.recovery_time_s is not None
-                else "never"
-            )
-            rows.append(
-                f"{run.governor:<10} {run.miss_fraction_in_fault:>13.3f} "
-                f"{run.miss_fraction_outside_fault:>13.3f} {recovery:>13} "
-                f"{run.tdp_violation_s:>13.2f} {run.average_power_w:>7.2f} "
-                f"{run.audit_violations:>7d}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fault": self.fault,
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "intensity": self.intensity,
-                "tdp_w": self.tdp_w,
-                "windows": self.windows,
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -211,29 +178,6 @@ def build_campaign_schedule(
     )
 
 
-def _campaign_identity(
-    fault: str,
-    workload: str,
-    duration_s: float,
-    warmup_s: float,
-    intensity: float,
-    seed: int,
-    cap: float,
-    governors: Sequence[str],
-) -> Dict[str, object]:
-    """Everything needed to rebuild a campaign run deterministically."""
-    return {
-        "fault": fault,
-        "workload": workload,
-        "duration_s": duration_s,
-        "warmup_s": warmup_s,
-        "intensity": intensity,
-        "seed": seed,
-        "tdp_w": cap,
-        "governors": list(governors),
-    }
-
-
 def _campaign_schedule(identity: Dict[str, object]) -> FaultSchedule:
     return build_campaign_schedule(
         CAMPAIGN_FAULTS[identity["fault"]],
@@ -248,37 +192,18 @@ def _build_campaign_sim(
     name: str, identity: Dict[str, object], schedule: FaultSchedule
 ) -> Tuple[Simulation, FaultInjector]:
     """One governor's simulation, injector attached, ready to run."""
-    chip = tc2_chip()
-    tasks = build_workload(identity["workload"])
-    governor = make_governor(name, power_cap_w=identity["tdp_w"])
-    fault_kind = CAMPAIGN_FAULTS[identity["fault"]]
-    thermal = (
-        campaign_thermal_config(chip) if fault_kind in THERMAL_FAULTS else None
-    )
+    kind = CAMPAIGN_FAULTS[identity["fault"]]
     # Counter faults only bite a simulation that trades on counters, and
     # a drifting power model is only interesting when a fitted model
     # exists to drift away from -- attach the estimation pipeline for
     # both, exactly as thermal faults pull in thermal tracking.
-    estimation = (
-        EstimationConfig()
-        if fault_kind in COUNTER_FAULTS
-        or fault_kind is FaultKind.POWER_MODEL_DRIFT
-        else None
+    return build_simulation(
+        identity,
+        name,
+        schedule,
+        thermal=kind in THERMAL_FAULTS,
+        estimation=kind in COUNTER_FAULTS or kind is FaultKind.POWER_MODEL_DRIFT,
     )
-    sim = Simulation(
-        chip,
-        tasks,
-        governor,
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-            thermal=thermal,
-            estimation=estimation,
-        ),
-    )
-    injector = FaultInjector(sim, schedule).attach()
-    return sim, injector
 
 
 def _campaign_stream(index: int, name: str) -> str:
@@ -484,9 +409,17 @@ def run_fault_campaign(
             "'repro-experiments fleet --fleet-fault ...' instead"
         )
     cap = power_cap_w if power_cap_w is not None else capped_tdp_w()
-    identity = _campaign_identity(
-        fault, workload, duration_s, warmup_s, intensity, seed, cap, governors
-    )
+    # Not point_identity(): the key order is part of the checkpoint files.
+    identity = {
+        "fault": fault,
+        "workload": workload,
+        "duration_s": duration_s,
+        "warmup_s": warmup_s,
+        "intensity": intensity,
+        "seed": seed,
+        "tdp_w": cap,
+        "governors": list(governors),
+    }
     schedule = _campaign_schedule(identity)
     result = CampaignResult(
         fault=fault,
@@ -498,15 +431,11 @@ def run_fault_campaign(
     )
     if checkpoint_dir is not None:
         _write_campaign_manifest(checkpoint_dir, identity)
-    specs = [
-        PointSpec(
-            fn=_campaign_point,
-            label=f"campaign {fault}/{name}",
-            args=(identity, index, name, checkpoint_dir, checkpoint_interval_s),
-        )
+    points = [
+        (_campaign_point, (index, name, checkpoint_dir, checkpoint_interval_s))
         for index, name in enumerate(governors)
     ]
-    result.runs.extend(execute_points(specs, jobs=jobs))
+    result.runs.extend(fan_out(f"campaign {fault}", identity, points, jobs))
     return result
 
 
@@ -563,10 +492,15 @@ def _resume_point(
     identity: Dict[str, object],
     index: int,
     name: str,
-    point_dir: str,
+    checkpoint_dir: str,
     checkpoint_interval_s: float,
 ) -> CampaignRun:
-    """Finish one interrupted point from its newest checkpoint."""
+    """Finish one interrupted point from its newest checkpoint.
+
+    Same signature as :func:`_campaign_point`, so a resume fans both out
+    in one point list.
+    """
+    point_dir = _point_dir(checkpoint_dir, index, name)
     path = _latest_point_checkpoint(point_dir)
     assert path is not None
     schedule = _campaign_schedule(identity)
@@ -609,10 +543,10 @@ def resume_fault_campaign(
     checkpoint), then brings every governor point to completion: points
     with a ``run.json`` are taken as-is, points with checkpoints resume
     mid-run from the newest one (validating the config/seed fingerprint),
-    and points never started run from scratch -- in parallel when
-    ``jobs`` > 1, since each owns a private subdirectory.  The returned
-    :class:`CampaignResult` is tick-for-tick identical to an
-    uninterrupted campaign's.
+    and points never started run from scratch.  Resumed and fresh points
+    run in parallel when ``jobs`` > 1, since each owns a private
+    subdirectory.  The returned :class:`CampaignResult` is tick-for-tick
+    identical to an uninterrupted campaign's.
     """
     identity = _load_campaign_identity(checkpoint_dir)
     governors = list(identity["governors"])
@@ -625,31 +559,20 @@ def resume_fault_campaign(
         tdp_w=identity["tdp_w"],
         windows=list(schedule.windows()),
     )
-    runs: List[Optional[CampaignRun]] = [None] * len(governors)
-    pending: List[Tuple[int, str]] = []
+    runs: List[Optional[CampaignRun]] = []
+    points = []
     for index, name in enumerate(governors):
         point_dir = _point_dir(checkpoint_dir, index, name)
-        done = _read_point_result(point_dir)
-        if done is not None:
-            runs[index] = done
-        elif _latest_point_checkpoint(point_dir) is not None:
-            runs[index] = _resume_point(
-                identity, index, name, point_dir, checkpoint_interval_s
+        runs.append(_read_point_result(point_dir))
+        if runs[index] is None:
+            started = _latest_point_checkpoint(point_dir) is not None
+            fn = _resume_point if started else _campaign_point
+            points.append(
+                (fn, (index, name, checkpoint_dir, checkpoint_interval_s))
             )
-        else:
-            pending.append((index, name))
-    if pending:
-        specs = [
-            PointSpec(
-                fn=_campaign_point,
-                label=f"campaign {identity['fault']}/{name}",
-                args=(identity, index, name, checkpoint_dir, checkpoint_interval_s),
-            )
-            for index, name in pending
-        ]
-        for (index, _), run in zip(pending, execute_points(specs, jobs=jobs)):
-            runs[index] = run
-    result.runs.extend(runs)
+    label = f"campaign {identity['fault']}"
+    finished = iter(fan_out(label, identity, points, jobs))
+    result.runs.extend(run or next(finished) for run in runs)
     return result
 
 
@@ -711,20 +634,6 @@ def replay_campaign_checkpoint(
     )
 
 
-def write_campaign_report(
-    result: CampaignResult, out_dir: str = "results"
-) -> str:
-    """Write the campaign table and JSON under ``out_dir``; returns the path.
-
-    Both files are written atomically (temp + rename) so a crash mid-write
-    never leaves a truncated report behind.
-    """
-    stem = os.path.join(out_dir, f"campaign_{result.fault}")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"
-
-
 # ----------------------------------------------------------------------
 # Chaos/soak harness: long compound-fault runs with live thermals
 # ----------------------------------------------------------------------
@@ -752,7 +661,7 @@ class SoakRun:
 
 
 @dataclass
-class SoakResult:
+class SoakResult(Report):
     """One soak: every governor through the same compound-fault schedule."""
 
     workload: str
@@ -762,44 +671,26 @@ class SoakResult:
     windows: List[Tuple[float, float]]
     runs: List[SoakRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    REPORT_STEM = "soak_{workload}"
+    COLUMNS = (
+        Column("governor", "<10", lambda r: r.governor),
+        Column("MTTR (s)", ">9", lambda r: seconds_or_never(r.mttr_s)),
+        Column("unrec win", ">9", lambda r: r.unrecovered_windows, "d"),
+        Column("t>Tcrit (s)", ">11", lambda r: r.time_over_tcrit_s, ".2f"),
+        Column("cycles", ">7", lambda r: sum(r.thermal_cycles.values()), "d"),
+        Column("trips", ">6", lambda r: r.supervisor.get("trips", 0), "d"),
+        Column("unrec", ">6", lambda r: r.unrecovered_trips, "d"),
+        Column("audits", ">7", lambda r: r.audit_violations, "d"),
+        Column("miss in", ">8", lambda r: r.miss_fraction_in_fault, ".3f"),
+        Column("miss out", ">9", lambda r: r.miss_fraction_outside_fault, ".3f"),
+        Column("avg W", ">7", lambda r: r.average_power_w, ".2f"),
+    )
+
+    def header(self) -> str:
+        return (
             f"Chaos soak  (workload {self.workload}, {self.duration_s:.0f} s, "
             f"seed {self.seed}, TDP {self.tdp_w:.1f} W, "
             f"{len(self.windows)} merged fault windows)"
-        )
-        columns = (
-            f"{'governor':<10} {'MTTR (s)':>9} {'unrec win':>9} "
-            f"{'t>Tcrit (s)':>11} {'cycles':>7} {'trips':>6} {'unrec':>6} "
-            f"{'audits':>7} {'miss in':>8} {'miss out':>9} {'avg W':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            mttr = f"{run.mttr_s:.2f}" if run.mttr_s is not None else "never"
-            rows.append(
-                f"{run.governor:<10} {mttr:>9} {run.unrecovered_windows:>9d} "
-                f"{run.time_over_tcrit_s:>11.2f} "
-                f"{sum(run.thermal_cycles.values()):>7d} "
-                f"{run.supervisor.get('trips', 0):>6d} "
-                f"{run.unrecovered_trips:>6d} {run.audit_violations:>7d} "
-                f"{run.miss_fraction_in_fault:>8.3f} "
-                f"{run.miss_fraction_outside_fault:>9.3f} "
-                f"{run.average_power_w:>7.2f}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "seed": self.seed,
-                "tdp_w": self.tdp_w,
-                "windows": self.windows,
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -865,24 +756,6 @@ def merged_windows(
     return merged
 
 
-def _soak_identity(
-    workload: str,
-    duration_s: float,
-    warmup_s: float,
-    seed: int,
-    cap: float,
-    governors: Sequence[str],
-) -> Dict[str, object]:
-    return {
-        "workload": workload,
-        "duration_s": duration_s,
-        "warmup_s": warmup_s,
-        "seed": seed,
-        "tdp_w": cap,
-        "governors": list(governors),
-    }
-
-
 def _soak_schedule(identity: Dict[str, object]) -> FaultSchedule:
     return build_soak_schedule(
         identity["duration_s"], identity["warmup_s"], tc2_chip()
@@ -898,19 +771,7 @@ def _soak_point(identity: Dict[str, object], name: str) -> SoakRun:
     optional here the way it is for the performance sweeps.
     """
     schedule = _soak_schedule(identity)
-    chip = tc2_chip()
-    sim = Simulation(
-        chip,
-        build_workload(identity["workload"]),
-        make_governor(name, power_cap_w=identity["tdp_w"]),
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-            thermal=campaign_thermal_config(chip),
-        ),
-    )
-    injector = FaultInjector(sim, schedule).attach()
+    sim, injector = build_simulation(identity, name, schedule, thermal=True)
     metrics = sim.run(identity["duration_s"])
     episodes = merged_windows(schedule.windows())
     recoveries = [
@@ -918,11 +779,6 @@ def _soak_point(identity: Dict[str, object], name: str) -> SoakRun:
         for _, end in episodes
     ]
     recovered = [r for r in recoveries if r is not None]
-    temp_peaks = [
-        max(s.cluster_temperature_c.values())
-        for s in metrics.samples
-        if s.cluster_temperature_c
-    ]
     supervisor = sim.thermal_supervisor
     return SoakRun(
         governor=name,
@@ -932,7 +788,7 @@ def _soak_point(identity: Dict[str, object], name: str) -> SoakRun:
         thermal_cycles={
             cid: counter.cycles for cid, counter in sim.cycle_counters.items()
         },
-        peak_temperature_c=max(temp_peaks) if temp_peaks else None,
+        peak_temperature_c=peak_temperature_c(metrics),
         supervisor=supervisor.stats() if supervisor is not None else {},
         unrecovered_trips=(
             supervisor.unrecovered_trips if supervisor is not None else 0
@@ -967,9 +823,7 @@ def run_soak(
     the market books stayed consistent throughout.
     """
     cap = power_cap_w if power_cap_w is not None else capped_tdp_w()
-    identity = _soak_identity(
-        workload, duration_s, warmup_s, seed, cap, governors
-    )
+    identity = point_identity(workload, duration_s, warmup_s, seed, cap, governors)
     schedule = _soak_schedule(identity)
     result = SoakResult(
         workload=workload,
@@ -978,21 +832,6 @@ def run_soak(
         tdp_w=cap,
         windows=merged_windows(schedule.windows()),
     )
-    specs = [
-        PointSpec(
-            fn=_soak_point,
-            label=f"soak/{name}",
-            args=(identity, name),
-        )
-        for name in governors
-    ]
-    result.runs.extend(execute_points(specs, jobs=jobs))
+    points = governor_grid(_soak_point, identity)
+    result.runs.extend(fan_out("soak", identity, points, jobs))
     return result
-
-
-def write_soak_report(result: SoakResult, out_dir: str = "results") -> str:
-    """Write the soak table and JSON under ``out_dir``; returns the path."""
-    stem = os.path.join(out_dir, f"soak_{result.workload}")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"

@@ -39,28 +39,16 @@ from .campaigns import (
     resume_fault_campaign,
     run_fault_campaign,
     run_soak,
-    write_campaign_report,
-    write_soak_report,
 )
-from .fleet import (
-    DEFAULT_FLEET_DIR,
-    resume_fleet_campaign,
-    run_fleet_campaign,
-    write_fleet_report,
-)
+from .fleet import DEFAULT_FLEET_DIR, resume_fleet_campaign, run_fleet_campaign
 from .harness import GOVERNOR_NAMES
 from .modelerror import (
     DEFAULT_DRIFT_RATES,
     DEFAULT_ERROR_MAGNITUDES,
     run_model_error_campaign,
-    write_model_error_report,
 )
-from .overload import (
-    run_overload,
-    run_overload_soak,
-    write_overload_report,
-    write_overload_soak_report,
-)
+from .overload import run_overload, run_overload_soak
+from .scenario import write_report
 
 #: Where campaign checkpoints land unless ``--checkpoint-dir`` says otherwise.
 DEFAULT_CHECKPOINT_DIR = "results/checkpoints"
@@ -202,6 +190,12 @@ def _run_validate(args) -> str:
     return report.as_table() + "\n" + status
 
 
+def _report(result, args) -> str:
+    """Write ``result``'s report under ``--out``; the table plus its path."""
+    path = write_report(result, out_dir=args.out)
+    return result.as_table() + f"\n\nreport written to {path}"
+
+
 def _parse_governors(spec: str) -> List[str]:
     """Split and validate a ``--governors`` list; exits cleanly on bad names."""
     governors = [g.strip() for g in spec.split(",") if g.strip()]
@@ -265,8 +259,7 @@ def _run_campaign(args) -> str:
         checkpoint_interval_s=args.checkpoint_interval,
         jobs=args.jobs,
     )
-    path = write_campaign_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _report(result, args)
 
 
 def _run_soak(args) -> str:
@@ -279,8 +272,7 @@ def _run_soak(args) -> str:
         seed=args.seed,
         jobs=args.jobs,
     )
-    path = write_soak_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _report(result, args)
 
 
 def _run_checkpoint(args) -> str:
@@ -300,8 +292,7 @@ def _run_resume(args) -> str:
         )
     except (CheckpointError, OSError) as exc:
         raise SystemExit(f"resume failed: {exc}")
-    path = write_campaign_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _report(result, args)
 
 
 def _run_replay(args) -> str:
@@ -348,8 +339,7 @@ def _run_model_error(args) -> str:
         seed=args.seed,
         jobs=args.jobs,
     )
-    path = write_model_error_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _report(result, args)
 
 
 def _run_overload(args) -> str:
@@ -365,8 +355,7 @@ def _run_overload(args) -> str:
         trace=trace,
         jobs=args.jobs,
     )
-    path = write_overload_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _report(result, args)
 
 
 def _run_overload_soak(args) -> str:
@@ -382,8 +371,7 @@ def _run_overload_soak(args) -> str:
         trace=trace,
         jobs=args.jobs,
     )
-    path = write_overload_soak_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _report(result, args)
 
 
 def _run_fleet(args) -> str:
@@ -413,8 +401,7 @@ def _run_fleet(args) -> str:
         raise SystemExit(f"fleet budget audit failed: {exc}")
     except (_CheckpointError, OSError) as exc:
         raise SystemExit(f"fleet resume failed: {exc}")
-    path = write_fleet_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _report(result, args)
 
 
 _COMMANDS = {

@@ -5,15 +5,15 @@ builds a fleet of heterogeneous chips (workloads and regions cycled
 deterministically from the seed), runs the supervised grid-budget market
 for a number of epochs -- optionally under a schedule of worker
 kills/stalls/message loss -- and renders the deterministic campaign
-report.  ``resume_fleet_campaign`` continues an interrupted campaign
-from its fleet manifest; a fault-free campaign resumed this way emits a
-byte-identical report.
+report (written by :func:`~repro.experiments.scenario.write_report` as
+``fleet.txt`` + ``fleet.json``).  ``resume_fleet_campaign`` continues
+an interrupted campaign from its fleet manifest; a fault-free campaign
+resumed this way emits a byte-identical report.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -105,6 +105,8 @@ class FleetCampaignResult:
     """A finished fleet campaign: the supervisor's deterministic report."""
 
     report: Dict[str, Any]
+
+    REPORT_STEM = "fleet"
 
     @property
     def epochs_completed(self) -> int:
@@ -216,16 +218,3 @@ def resume_fleet_campaign(
     """Continue an interrupted fleet campaign from its manifest."""
     supervisor = FleetSupervisor.resume(fleet_dir, strict_audit=strict_audit)
     return FleetCampaignResult(supervisor.run())
-
-
-def write_fleet_report(
-    result: FleetCampaignResult, out_dir: str = "results"
-) -> str:
-    """Write ``fleet.txt`` and ``fleet.json`` under ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    text_path = os.path.join(out_dir, "fleet.txt")
-    with open(text_path, "w", encoding="utf-8") as handle:
-        handle.write(result.as_table() + "\n")
-    with open(os.path.join(out_dir, "fleet.json"), "w", encoding="utf-8") as handle:
-        handle.write(result.to_json() + "\n")
-    return text_path

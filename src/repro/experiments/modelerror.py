@@ -26,20 +26,22 @@ exposes this as ``repro-experiments model-error``.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..checkpoint import atomic_write_text
-from ..core.powerest import EstimationConfig
-from ..faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
+from ..faults import FaultEvent, FaultKind, FaultSchedule
 from ..hw import tc2_chip
-from ..sim import SimConfig, Simulation
-from ..tasks import build_workload
 from .campaigns import DEFAULT_CAMPAIGN_GOVERNORS
-from .harness import capped_tdp_w, make_governor
-from .parallel import PointSpec, execute_points
+from .harness import capped_tdp_w
+from .scenario import (
+    Column,
+    Report,
+    build_simulation,
+    fan_out,
+    governor_grid,
+    point_identity,
+    seconds_or_never,
+)
 
 #: Counter-bias window: (offset after warm-up, length).
 BIAS_START_AFTER_WARMUP_S = 2.0
@@ -75,7 +77,7 @@ class ModelErrorRun:
 
 
 @dataclass
-class ModelErrorResult:
+class ModelErrorResult(Report):
     """One model-error campaign: the full grid across governors."""
 
     workload: str
@@ -86,51 +88,27 @@ class ModelErrorResult:
     drift_rates: List[float]
     runs: List[ModelErrorRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    REPORT_STEM = "modelerror"
+    COLUMNS = (
+        Column("governor", "<9", lambda r: r.governor),
+        Column("error", ">6", lambda r: r.error_magnitude, ".2f"),
+        Column("drift/s", ">8", lambda r: r.drift_rate_per_s, ".2f"),
+        Column("miss in", ">8", lambda r: r.miss_fraction_in_fault, ".3f"),
+        Column("miss out", ">9", lambda r: r.miss_fraction_outside_fault, ".3f"),
+        Column("TDP-viol (s)", ">13", lambda r: r.tdp_violation_s, ".2f"),
+        Column("est p50", ">8", lambda r: r.estimation_error_w.get("p50", 0.0), ".3f"),
+        Column("est p95", ">8", lambda r: r.estimation_error_w.get("p95", 0.0), ".3f"),
+        Column("t->fallback", ">12", lambda r: seconds_or_never(r.time_to_fallback_s)),
+        Column("final", ">8", lambda r: r.estimator_state),
+        Column("audits", ">7", lambda r: r.audit_violations, "d"),
+    )
+
+    def header(self) -> str:
+        return (
             f"Model-error campaign  (workload {self.workload}, "
             f"{self.duration_s:.0f} s, seed {self.seed}, "
             f"TDP {self.tdp_w:.1f} W, errors {self.error_magnitudes}, "
             f"drift rates {self.drift_rates}/s)"
-        )
-        columns = (
-            f"{'governor':<9} {'error':>6} {'drift/s':>8} {'miss in':>8} "
-            f"{'miss out':>9} {'TDP-viol (s)':>13} {'est p50':>8} "
-            f"{'est p95':>8} {'t->fallback':>12} {'final':>8} {'audits':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            fallback = (
-                f"{run.time_to_fallback_s:.2f}"
-                if run.time_to_fallback_s is not None
-                else "never"
-            )
-            rows.append(
-                f"{run.governor:<9} {run.error_magnitude:>6.2f} "
-                f"{run.drift_rate_per_s:>8.2f} "
-                f"{run.miss_fraction_in_fault:>8.3f} "
-                f"{run.miss_fraction_outside_fault:>9.3f} "
-                f"{run.tdp_violation_s:>13.2f} "
-                f"{run.estimation_error_w.get('p50', 0.0):>8.3f} "
-                f"{run.estimation_error_w.get('p95', 0.0):>8.3f} "
-                f"{fallback:>12} {run.estimator_state:>8} "
-                f"{run.audit_violations:>7d}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "seed": self.seed,
-                "tdp_w": self.tdp_w,
-                "error_magnitudes": self.error_magnitudes,
-                "drift_rates": self.drift_rates,
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -179,28 +157,6 @@ def build_model_error_schedule(
     return FaultSchedule(events)
 
 
-def _model_error_identity(
-    workload: str,
-    duration_s: float,
-    warmup_s: float,
-    seed: int,
-    cap: float,
-    governors: Sequence[str],
-    error_magnitudes: Sequence[float],
-    drift_rates: Sequence[float],
-) -> Dict[str, object]:
-    return {
-        "workload": workload,
-        "duration_s": duration_s,
-        "warmup_s": warmup_s,
-        "seed": seed,
-        "tdp_w": cap,
-        "governors": list(governors),
-        "error_magnitudes": list(error_magnitudes),
-        "drift_rates": list(drift_rates),
-    }
-
-
 def _time_to_fallback(supervisor, fault_start_s: Optional[float]) -> Optional[float]:
     """Seconds from fault onset to the first analytic-model fallback."""
     if supervisor is None or fault_start_s is None:
@@ -218,26 +174,14 @@ def _model_error_point(
     drift_rate_per_s: float,
 ) -> ModelErrorRun:
     """One (governor, error, drift) grid point; picklable for workers."""
-    chip = tc2_chip()
     schedule = build_model_error_schedule(
         error_magnitude,
         drift_rate_per_s,
         identity["duration_s"],
         identity["warmup_s"],
-        chip,
+        tc2_chip(),
     )
-    sim = Simulation(
-        chip,
-        build_workload(identity["workload"]),
-        make_governor(name, power_cap_w=identity["tdp_w"]),
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-            estimation=EstimationConfig(),
-        ),
-    )
-    injector = FaultInjector(sim, schedule).attach()
+    sim, injector = build_simulation(identity, name, schedule, estimation=True)
     metrics = sim.run(identity["duration_s"])
     windows = list(schedule.windows())
     supervisor = sim.estimation.supervisor
@@ -291,15 +235,15 @@ def run_model_error_campaign(
     if not error_magnitudes or not drift_rates:
         raise ValueError("need at least one error magnitude and one drift rate")
     cap = power_cap_w if power_cap_w is not None else capped_tdp_w()
-    identity = _model_error_identity(
+    identity = point_identity(
         workload,
         duration_s,
         warmup_s,
         seed,
         cap,
         governors,
-        error_magnitudes,
-        drift_rates,
+        error_magnitudes=list(error_magnitudes),
+        drift_rates=list(drift_rates),
     )
     result = ModelErrorResult(
         workload=workload,
@@ -309,25 +253,8 @@ def run_model_error_campaign(
         error_magnitudes=list(error_magnitudes),
         drift_rates=list(drift_rates),
     )
-    specs = [
-        PointSpec(
-            fn=_model_error_point,
-            label=f"model-error {name}/e{error:g}/d{drift:g}",
-            args=(identity, name, error, drift),
-        )
-        for name in governors
-        for error in error_magnitudes
-        for drift in drift_rates
-    ]
-    result.runs.extend(execute_points(specs, jobs=jobs))
+    points = governor_grid(
+        _model_error_point, identity, error_magnitudes, drift_rates
+    )
+    result.runs.extend(fan_out("model-error", identity, points, jobs))
     return result
-
-
-def write_model_error_report(
-    result: ModelErrorResult, out_dir: str = "results"
-) -> str:
-    """Write the campaign table and JSON under ``out_dir``; returns the path."""
-    stem = os.path.join(out_dir, "modelerror")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"

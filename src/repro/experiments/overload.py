@@ -22,27 +22,29 @@ checking every round.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..checkpoint import atomic_write_text
 from ..core.admission import AdmissionConfig, AdmissionController, OverloadManager
-from ..faults import FaultInjector
 from ..hw import tc2_chip
-from ..sim import SimConfig, Simulation
+from ..sim import Simulation
 from ..sim.engine import derive_stream_seed
-from ..tasks import ArrivalConfig, ArrivalStream, build_workload, sustainable_rate_hz
+from ..tasks import ArrivalConfig, ArrivalStream, sustainable_rate_hz
 from ..tasks.traces import DemandTrace
 from .campaigns import (
     DEFAULT_CAMPAIGN_GOVERNORS,
     build_soak_schedule,
-    campaign_thermal_config,
     merged_windows,
 )
-from .harness import make_governor
-from .parallel import PointSpec, execute_points
+from .scenario import (
+    Column,
+    Report,
+    build_simulation,
+    fan_out,
+    governor_grid,
+    peak_temperature_c,
+    point_identity,
+)
 
 #: The canonical overload severity: burst demand at this multiple of the
 #: sustainable arrival rate (see :func:`repro.tasks.sustainable_rate_hz`).
@@ -164,7 +166,7 @@ class OverloadRun:
 
 
 @dataclass
-class OverloadResult:
+class OverloadResult(Report):
     """One overload scenario swept across governors."""
 
     workload: str
@@ -177,91 +179,37 @@ class OverloadResult:
     burst_window: Tuple[float, float]
     runs: List[OverloadRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    REPORT_STEM = "overload_{workload}"
+    COLUMNS = (
+        Column("governor", "<10", lambda r: r.governor),
+        Column("offered", ">8", lambda r: r.offered, "d"),
+        Column("admit", ">6", lambda r: r.admitted, "d"),
+        Column("degr", ">5", lambda r: r.admitted_degraded, "d"),
+        Column("queue", ">6", lambda r: r.queued, "d"),
+        Column("shed", ">5", lambda r: r.shed_tasks, "d"),
+        Column("rej", ">5", lambda r: r.rejected, "d"),
+        Column("peakQ", ">6", lambda r: r.peak_queue_depth, "d"),
+        Column("p99 miss", ">9", lambda r: r.tail_qos["p99"], ".3f"),
+        Column("base p99", ">9", lambda r: r.baseline_tail_qos["p99"], ".3f"),
+        Column("lat p95", ">8", lambda r: r.admission_latency_s["p95"], ".3f"),
+        Column("audits", ">7", lambda r: r.audit_violations, "d"),
+    )
+
+    def header(self) -> str:
+        return (
             f"Overload: flash crowd at {self.multiplier:.1f}x sustainable  "
             f"(workload {self.workload}, {self.duration_s:.0f} s, seed "
             f"{self.seed}, TDP {self.tdp_w:.1f} W, "
             f"{self.arrival_rate_hz:.1f} -> {self.burst_rate_hz:.1f} arr/s "
             f"over t=[{self.burst_window[0]:.0f}, {self.burst_window[1]:.0f}])"
         )
-        columns = (
-            f"{'governor':<10} {'offered':>8} {'admit':>6} {'degr':>5} "
-            f"{'queue':>6} {'shed':>5} {'rej':>5} {'peakQ':>6} "
-            f"{'p99 miss':>9} {'base p99':>9} {'lat p95':>8} {'audits':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            rows.append(
-                f"{run.governor:<10} {run.offered:>8d} {run.admitted:>6d} "
-                f"{run.admitted_degraded:>5d} {run.queued:>6d} "
-                f"{run.shed_tasks:>5d} {run.rejected:>5d} "
-                f"{run.peak_queue_depth:>6d} {run.tail_qos['p99']:>9.3f} "
-                f"{run.baseline_tail_qos['p99']:>9.3f} "
-                f"{run.admission_latency_s['p95']:>8.3f} "
-                f"{run.audit_violations:>7d}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "seed": self.seed,
-                "tdp_w": self.tdp_w,
-                "multiplier": self.multiplier,
-                "arrival_rate_hz": self.arrival_rate_hz,
-                "burst_rate_hz": self.burst_rate_hz,
-                "burst_window": list(self.burst_window),
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-
-def _overload_identity(
-    workload: str,
-    duration_s: float,
-    warmup_s: float,
-    seed: int,
-    cap: float,
-    governors: Sequence[str],
-    multiplier: float,
-    arrival: ArrivalConfig,
-    admission: AdmissionConfig,
-    trace_json: Optional[str],
-) -> Dict[str, object]:
-    return {
-        "workload": workload,
-        "duration_s": duration_s,
-        "warmup_s": warmup_s,
-        "seed": seed,
-        "tdp_w": cap,
-        "governors": list(governors),
-        "multiplier": multiplier,
-        "arrival": arrival.identity(),
-        "admission": asdict(admission),
-        "trace": trace_json,
-    }
 
 
 def _run_overload_sim(
     identity: Dict[str, object], name: str, with_admission: bool
 ) -> Tuple[Simulation, OverloadManager]:
-    chip = tc2_chip()
-    sim = Simulation(
-        chip,
-        build_workload(identity["workload"]),
-        make_governor(name, power_cap_w=identity["tdp_w"]),
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-        ),
-    )
-    manager = _build_manager(identity, with_admission).attach(sim)
+    manager = _build_manager(identity, with_admission)
+    sim, _ = build_simulation(identity, name, overload=manager)
     sim.run(identity["duration_s"])
     return sim, manager
 
@@ -355,19 +303,18 @@ def run_overload(
     scenario identity, so results are bitwise independent of ``jobs``.
     """
     cap = power_cap_w if power_cap_w is not None else OVERLOAD_TDP_W
-    chip = tc2_chip()
-    arrival = build_overload_arrivals(chip, duration_s, warmup_s, multiplier)
-    identity = _overload_identity(
+    arrival = build_overload_arrivals(tc2_chip(), duration_s, warmup_s, multiplier)
+    identity = point_identity(
         workload,
         duration_s,
         warmup_s,
         seed,
         cap,
         governors,
-        multiplier,
-        arrival,
-        admission or AdmissionConfig(),
-        None if trace is None else trace.to_json(),
+        multiplier=multiplier,
+        arrival=arrival.identity(),
+        admission=asdict(admission or AdmissionConfig()),
+        trace=None if trace is None else trace.to_json(),
     )
     result = OverloadResult(
         workload=workload,
@@ -382,24 +329,9 @@ def run_overload(
             arrival.burst_start_s + arrival.burst_duration_s,
         ),
     )
-    specs = [
-        PointSpec(
-            fn=_overload_point,
-            label=f"overload/{name}",
-            args=(identity, name),
-        )
-        for name in governors
-    ]
-    result.runs.extend(execute_points(specs, jobs=jobs))
+    points = governor_grid(_overload_point, identity)
+    result.runs.extend(fan_out("overload", identity, points, jobs))
     return result
-
-
-def write_overload_report(result: OverloadResult, out_dir: str = "results") -> str:
-    """Write the overload table and JSON under ``out_dir``; returns the path."""
-    stem = os.path.join(out_dir, f"overload_{result.workload}")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +359,7 @@ class OverloadSoakRun:
 
 
 @dataclass
-class OverloadSoakResult:
+class OverloadSoakResult(Report):
     """Every governor through the same overload-plus-faults soak."""
 
     workload: str
@@ -438,43 +370,28 @@ class OverloadSoakResult:
     windows: List[Tuple[float, float]]
     runs: List[OverloadSoakRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    REPORT_STEM = "overload_soak_{workload}"
+    COLUMNS = (
+        Column("governor", "<10", lambda r: r.governor),
+        Column("offered", ">8", lambda r: r.offered, "d"),
+        Column("admit", ">6", lambda r: r.admitted, "d"),
+        Column("shed", ">5", lambda r: r.shed_tasks, "d"),
+        Column("rej", ">5", lambda r: r.rejected, "d"),
+        Column("t/o", ">5", lambda r: r.queue_timeouts, "d"),
+        Column("peakQ", ">6", lambda r: r.peak_queue_depth, "d"),
+        Column("p99 miss", ">9", lambda r: r.tail_qos["p99"], ".3f"),
+        Column("t>Tcrit", ">8", lambda r: r.time_over_tcrit_s, ".2f"),
+        Column("unrec", ">6", lambda r: r.unrecovered_trips, "d"),
+        Column("audits", ">7", lambda r: r.audit_violations, "d"),
+        Column("avg W", ">7", lambda r: r.average_power_w, ".2f"),
+    )
+
+    def header(self) -> str:
+        return (
             f"Overload soak  (workload {self.workload}, "
             f"{self.duration_s:.0f} s, seed {self.seed}, TDP "
             f"{self.tdp_w:.1f} W, {self.multiplier:.1f}x crowd, "
             f"{len(self.windows)} merged fault windows)"
-        )
-        columns = (
-            f"{'governor':<10} {'offered':>8} {'admit':>6} {'shed':>5} "
-            f"{'rej':>5} {'t/o':>5} {'peakQ':>6} {'p99 miss':>9} "
-            f"{'t>Tcrit':>8} {'unrec':>6} {'audits':>7} {'avg W':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            rows.append(
-                f"{run.governor:<10} {run.offered:>8d} {run.admitted:>6d} "
-                f"{run.shed_tasks:>5d} {run.rejected:>5d} "
-                f"{run.queue_timeouts:>5d} {run.peak_queue_depth:>6d} "
-                f"{run.tail_qos['p99']:>9.3f} "
-                f"{run.time_over_tcrit_s:>8.2f} {run.unrecovered_trips:>6d} "
-                f"{run.audit_violations:>7d} {run.average_power_w:>7.2f}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "seed": self.seed,
-                "tdp_w": self.tdp_w,
-                "multiplier": self.multiplier,
-                "windows": self.windows,
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -487,31 +404,16 @@ def _overload_soak_point(identity: Dict[str, object], name: str) -> OverloadSoak
     admission ladder must hold while the thermal ladder is also active
     and sensors are faulting underneath both.
     """
-    chip = tc2_chip()
     schedule = build_soak_schedule(
-        identity["duration_s"], identity["warmup_s"], chip
+        identity["duration_s"], identity["warmup_s"], tc2_chip()
     )
-    sim = Simulation(
-        chip,
-        build_workload(identity["workload"]),
-        make_governor(name, power_cap_w=identity["tdp_w"]),
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-            thermal=campaign_thermal_config(chip),
-        ),
+    manager = _build_manager(identity, with_admission=True)
+    sim, injector = build_simulation(
+        identity, name, schedule, thermal=True, overload=manager
     )
-    injector = FaultInjector(sim, schedule).attach()
-    manager = _build_manager(identity, with_admission=True).attach(sim)
     metrics = sim.run(identity["duration_s"])
     controller = manager.controller
     stats = controller.stats()
-    temp_peaks = [
-        max(s.cluster_temperature_c.values())
-        for s in metrics.samples
-        if s.cluster_temperature_c
-    ]
     supervisor = sim.thermal_supervisor
     return OverloadSoakRun(
         governor=name,
@@ -524,7 +426,7 @@ def _overload_soak_point(identity: Dict[str, object], name: str) -> OverloadSoak
         final_state=controller.state.value,
         tail_qos=_tail(metrics, _committed_population(sim, manager)),
         time_over_tcrit_s=sim.time_over_tcrit_s,
-        peak_temperature_c=max(temp_peaks) if temp_peaks else None,
+        peak_temperature_c=peak_temperature_c(metrics),
         unrecovered_trips=(
             supervisor.unrecovered_trips if supervisor is not None else 0
         ),
@@ -549,17 +451,17 @@ def run_overload_soak(
     cap = power_cap_w if power_cap_w is not None else OVERLOAD_TDP_W
     chip = tc2_chip()
     arrival = build_overload_arrivals(chip, duration_s, warmup_s, multiplier)
-    identity = _overload_identity(
+    identity = point_identity(
         workload,
         duration_s,
         warmup_s,
         seed,
         cap,
         governors,
-        multiplier,
-        arrival,
-        AdmissionConfig(),
-        None if trace is None else trace.to_json(),
+        multiplier=multiplier,
+        arrival=arrival.identity(),
+        admission=asdict(AdmissionConfig()),
+        trace=None if trace is None else trace.to_json(),
     )
     schedule = build_soak_schedule(duration_s, warmup_s, chip)
     result = OverloadSoakResult(
@@ -570,23 +472,6 @@ def run_overload_soak(
         multiplier=multiplier,
         windows=merged_windows(schedule.windows()),
     )
-    specs = [
-        PointSpec(
-            fn=_overload_soak_point,
-            label=f"overload-soak/{name}",
-            args=(identity, name),
-        )
-        for name in governors
-    ]
-    result.runs.extend(execute_points(specs, jobs=jobs))
+    points = governor_grid(_overload_soak_point, identity)
+    result.runs.extend(fan_out("overload-soak", identity, points, jobs))
     return result
-
-
-def write_overload_soak_report(
-    result: OverloadSoakResult, out_dir: str = "results"
-) -> str:
-    """Write the overload-soak table and JSON; returns the text path."""
-    stem = os.path.join(out_dir, f"overload_soak_{result.workload}")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"

@@ -17,6 +17,7 @@ from repro.experiments.campaigns import (
     resume_fault_campaign,
     run_fault_campaign,
 )
+from repro.experiments import scenario
 from repro.experiments.harness import make_governor
 from repro.faults import FaultInjector
 from repro.hw import tc2_chip
@@ -191,6 +192,37 @@ class TestCampaignResume:
         assert os.path.exists(
             os.path.join(directory, "point_1-HL", "journal.json")
         )
+
+    def test_partly_run_points_resume_in_parallel(self, tmp_path, monkeypatch):
+        uninterrupted = self._run()
+        directory = str(tmp_path)
+        self._run(checkpoint_dir=directory)
+        # Emulate a SIGKILL with both points mid-run: each keeps one early
+        # checkpoint, neither has a journal or a result.
+        survivors = {
+            os.path.join(directory, "campaign.json"),
+            os.path.join(directory, "point_0-PPM", "ckpt_0-PPM_0000000600.json"),
+            os.path.join(directory, "point_1-HL", "ckpt_1-HL_0000000800.json"),
+        }
+        for root, _dirs, files in os.walk(directory):
+            for name in files:
+                path = os.path.join(root, name)
+                if path not in survivors:
+                    os.unlink(path)
+        fanned_out = []
+        execute_points = scenario.execute_points
+
+        def recording_execute_points(specs, jobs=None):
+            fanned_out.extend(spec.fn.__name__ for spec in specs)
+            return execute_points(specs, jobs=jobs)
+
+        monkeypatch.setattr(scenario, "execute_points", recording_execute_points)
+        resumed = resume_fault_campaign(
+            directory, checkpoint_interval_s=2.0, jobs=2
+        )
+        # Both interrupted points went through the worker fan-out.
+        assert fanned_out == ["_resume_point", "_resume_point"]
+        assert resumed.to_json() == uninterrupted.to_json()
 
     def test_campaign_checkpointing_is_observation_free(self, tmp_path):
         with_checkpoints = self._run(checkpoint_dir=str(tmp_path))

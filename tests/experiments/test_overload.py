@@ -17,9 +17,8 @@ from repro.experiments.overload import (
     build_overload_arrivals,
     run_overload,
     run_overload_soak,
-    write_overload_report,
-    write_overload_soak_report,
 )
+from repro.experiments.scenario import write_report
 from repro.hw import tc2_chip
 from repro.tasks import sustainable_rate_hz
 
@@ -78,7 +77,7 @@ class TestOverloadRun:
         assert 0.0 <= run.tail_qos["p99"] <= 1.0
 
     def test_report_round_trips(self, result, tmp_path):
-        path = write_overload_report(result, out_dir=str(tmp_path))
+        path = write_report(result, out_dir=str(tmp_path))
         table = (tmp_path / "overload_l1.txt").read_text()
         assert "PPM" in table and "p99 miss" in table
         payload = json.loads((tmp_path / "overload_l1.json").read_text())
@@ -108,6 +107,6 @@ class TestOverloadSoak:
         assert run.audit_violations == 0
         assert result.windows  # compound faults actually scheduled
         assert result.tdp_w == OVERLOAD_TDP_W
-        path = write_overload_soak_report(result, out_dir=str(tmp_path))
+        path = write_report(result, out_dir=str(tmp_path))
         assert "p99 miss" in (tmp_path / "overload_soak_m2.txt").read_text()
         assert path.endswith("overload_soak_m2.txt")

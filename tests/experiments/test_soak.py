@@ -9,7 +9,7 @@ from repro.experiments import (
     build_soak_schedule,
     merged_windows,
     run_soak,
-    write_soak_report,
+    write_report,
 )
 from repro.experiments.campaigns import SOAK_RECOVERY_TAIL_S
 from repro.experiments.cli import build_parser, main
@@ -88,7 +88,7 @@ class TestRunSoak:
 
     def test_report_files_round_trip(self, tmp_path):
         result = run_soak(governors=("PPM",), **SOAK_KW)
-        path = write_soak_report(result, out_dir=str(tmp_path))
+        path = write_report(result, out_dir=str(tmp_path))
         assert os.path.exists(path)
         payload = json.loads(open(path.replace(".txt", ".json")).read())
         assert payload["workload"] == "m2"

@@ -9,7 +9,7 @@ from repro.experiments import (
     CAMPAIGN_FAULTS,
     build_campaign_schedule,
     run_fault_campaign,
-    write_campaign_report,
+    write_report,
 )
 from repro.experiments.cli import build_parser, main
 from repro.faults import FaultKind
@@ -89,7 +89,7 @@ class TestCampaignRuns:
         )
         table = result.as_table()
         assert "sensor-stuck" in table and "PPM" in table and "HPM" in table
-        path = write_campaign_report(result, out_dir=str(tmp_path))
+        path = write_report(result, out_dir=str(tmp_path))
         assert os.path.exists(path)
         payload = json.loads(
             open(path.replace(".txt", ".json")).read()
