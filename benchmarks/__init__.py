@@ -1,1 +1,1 @@
-"""Benchmark harness: paper-figure regenerators plus the perf suite."""
+"""Benchmark harness: regenerators for the paper's tables and figures."""

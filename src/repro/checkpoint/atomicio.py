@@ -7,13 +7,16 @@ previous complete file or the new complete file, never a truncated one.
 The pattern is the standard POSIX one: write to a temporary file in the
 *same directory* (rename is only atomic within a filesystem), flush and
 fsync the data, ``os.replace`` over the destination, then fsync the
-directory so the rename itself is durable.
+directory so the rename itself is durable.  The temporary file is
+created with mode ``0o666`` less the umask, as ``open()`` would create
+the destination, so reports and checkpoints are as readable as any
+other file the process writes.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from typing import Iterable, Union
 
 
@@ -50,9 +53,15 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> str:
         text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
+    while True:
+        tmp_path = os.path.join(
+            directory, f"{os.path.basename(path)}.{secrets.token_hex(6)}.tmp"
+        )
+        try:
+            fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(text)

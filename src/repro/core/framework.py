@@ -99,6 +99,8 @@ class PPMGovernor:
         )
         # -- resilience layer (None when config.resilience is None) -----
         res = self.config.resilience
+        #: Built by prepare(): it judges readings against the chip's
+        #: maximum power.
         self.sensor_guard: Optional[StaleSensorDetector] = None
         self.dvfs_supervisor: Optional[DVFSSupervisor] = None
         self.watchdog: Optional[MarketWatchdog] = None
@@ -114,9 +116,6 @@ class PPMGovernor:
         #: raises prices so bids shrink before forcible throttling.
         self.thermal_surcharge = 0.0
         if res is not None:
-            self.sensor_guard = StaleSensorDetector(
-                stale_reads=res.stale_reads, spike_factor=res.spike_factor
-            )
             self.dvfs_supervisor = DVFSSupervisor(
                 BackoffRetry(res.retry_initial_rounds, res.retry_max_rounds)
             )
@@ -130,6 +129,13 @@ class PPMGovernor:
     # ------------------------------------------------------------------
     def prepare(self, sim: Simulation) -> None:
         self._chip = sim.chip
+        res = self.config.resilience
+        if res is not None:
+            self.sensor_guard = StaleSensorDetector(
+                sum(c.max_power_w(sim.chip.power_model) for c in sim.chip.clusters),
+                stale_reads=res.stale_reads,
+                spike_factor=res.spike_factor,
+            )
         self._energy_cost_cache.clear()
         self._nominal_demand_cache.clear()
         for cluster in sim.chip.clusters:

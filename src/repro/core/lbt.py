@@ -57,10 +57,6 @@ class MoveDecision:
     def spend_saving(self) -> float:
         return self.current.spend - self.candidate.spend
 
-    @property
-    def is_inter_cluster_hint(self) -> bool:  # pragma: no cover - debug aid
-        return self.source_core_id.split(".")[0] != self.target_core_id.split(".")[0]
-
 
 class LBTModule:
     """Proposes (at most) one task movement per invocation.
@@ -177,12 +173,6 @@ class LBTModule:
                 a for a in agents if a.unsatisfied_rounds >= self._unsat_rounds
             ]
         return constrained.core_id, [a.task_id for a in agents]
-
-    def _evaluate_candidate(
-        self, task_id: str, target_core_id: str
-    ) -> Tuple[MappingEstimate, MappingEstimate]:
-        self.evaluations += 1
-        return self._estimator.evaluate_move(task_id, target_core_id)
 
     # -- proposal logic ---------------------------------------------------------
     def _propose(

@@ -349,11 +349,7 @@ class EstimationManager:
             from .resilience import EstimatorSupervisor
 
             max_power = {
-                cluster.cluster_id: chip.power_model.max_cluster_power_w(
-                    cluster.power_params,
-                    cluster.vf_table.max_level,
-                    len(cluster.cores),
-                )
+                cluster.cluster_id: cluster.max_power_w(chip.power_model)
                 for cluster in chip.clusters
             }
             self.supervisor = EstimatorSupervisor(config, max_power)

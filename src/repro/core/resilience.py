@@ -38,8 +38,9 @@ class ResilienceConfig:
     Attributes:
         stale_reads: Bit-identical chip-power readings tolerated before
             the sensor is declared stuck and the fallback serves values.
-        spike_factor: A reading above this multiple of the recent median
-            (or below zero) is rejected as a glitch.
+        spike_factor: A reading above the most the chip can draw and
+            above this multiple of the recent median (or any
+            non-finite or negative reading) is rejected as a glitch.
         retry_initial_rounds: First re-issue backoff for unacknowledged
             DVFS requests, in bid rounds; doubles per failure.
         retry_max_rounds: Backoff ceiling.
@@ -87,13 +88,25 @@ class StaleSensorDetector:
     chip's accounting).  Detection is three-pronged: *dropout* (``None``
     input -- the engine already substituted, or the caller read nothing),
     *stuck* (bit-identical chip power for ``stale_reads`` consecutive
-    observations), and *spikes* (non-finite, negative, or above
-    ``spike_factor`` times the rolling median).
+    observations), and *spikes* (non-finite, negative, or above both
+    ``max_power_w`` and ``spike_factor`` times the rolling median).
+
+    ``max_power_w`` is the most the chip can draw: every core of every
+    cluster busy at the top V-F level.  A reading at or below it is
+    physically possible, so it is never rejected -- a genuine step up in
+    power (a DVFS jump, a task waking) can be any size, and judging it
+    against the median alone latches: the rejected reading never enters
+    the history, so the median stays put and every later reading at the
+    new level is rejected too.  Above ``max_power_w`` the median test still
+    applies, so sensor noise on a chip running flat out is not a spike.
     """
 
     _HISTORY = 32
 
-    def __init__(self, stale_reads: int = 8, spike_factor: float = 3.0):
+    def __init__(
+        self, max_power_w: float, stale_reads: int = 8, spike_factor: float = 3.0
+    ):
+        self._max_power_w = max_power_w
         self._stale_reads = stale_reads
         self._spike_factor = spike_factor
         self._history: List[float] = []
@@ -108,7 +121,7 @@ class StaleSensorDetector:
     def _is_spike(self, watts: float) -> bool:
         if not math.isfinite(watts) or watts < 0.0:
             return True
-        if len(self._history) < 4:
+        if watts <= self._max_power_w or len(self._history) < 4:
             return False
         ordered = sorted(self._history)
         median = ordered[len(ordered) // 2]

@@ -86,11 +86,6 @@ class CampaignRun:
     audit_violations: int
     fault_stats: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def qos_degradation(self) -> float:
-        """Extra miss time a fault window costs over fault-free operation."""
-        return self.miss_fraction_in_fault - self.miss_fraction_outside_fault
-
 
 @dataclass
 class CampaignResult(Report):

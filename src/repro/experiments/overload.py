@@ -159,11 +159,6 @@ class OverloadRun:
     baseline_tail_qos: Dict[str, float]
     baseline_audit_violations: int
 
-    @property
-    def p99_improvement(self) -> float:
-        """How much p99 QoS violation the ladder removes vs the baseline."""
-        return self.baseline_tail_qos["p99"] - self.tail_qos["p99"]
-
 
 @dataclass
 class OverloadResult(Report):

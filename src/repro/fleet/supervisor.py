@@ -284,11 +284,6 @@ class FleetSupervisor:
         return supervisor
 
     # -- process management --------------------------------------------
-    def _spawn(self, handle: WorkerHandle) -> None:
-        """Start (or restart) one chip's worker and await its hello."""
-        self._start_process(handle)
-        self._finish_spawn(handle)
-
     def _start_process(self, handle: WorkerHandle) -> None:
         # The lazily-spawned multiprocessing resource tracker must not
         # be born inside the env-marker window below: it deliberately

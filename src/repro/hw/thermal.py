@@ -169,9 +169,6 @@ class ThermalModel:
             cid: 0.0 for cid in self._params
         }
 
-    def params_of(self, cluster_id: str) -> ThermalParams:
-        return self._params[cluster_id]
-
     def temperature_c(self, cluster_id: str) -> float:
         return self._temps[cluster_id]
 

@@ -128,6 +128,12 @@ class Cluster:
     def power_up(self) -> None:
         self.powered = True
 
+    def max_power_w(self, model: PowerModel) -> float:
+        """Power with every core busy at the top V-F level, drift aside."""
+        return model.max_cluster_power_w(
+            self.power_params, self.vf_table.max_level, len(self.cores)
+        )
+
     def power_w(self, model: PowerModel) -> float:
         """Current cluster power under ``model`` (paper's ``W_v``)."""
         watts = model.cluster_power_w(

@@ -508,18 +508,6 @@ class MetricsCollector:
             [s.cluster_frequency_mhz.get(cluster_id, 0.0) for s in self.samples],
         )
 
-    def temperature_series(self, cluster_id: str) -> Tuple[List[float], List[float]]:
-        """(times, temperatures) for one cluster; empty without thermals."""
-        times: List[float] = []
-        temps: List[float] = []
-        for sample in self.samples:
-            if sample.cluster_temperature_c is None:
-                continue
-            if cluster_id in sample.cluster_temperature_c:
-                times.append(sample.time_s)
-                temps.append(sample.cluster_temperature_c[cluster_id])
-        return times, temps
-
     def peak_temperature_c(self) -> Optional[float]:
         """Hottest recorded cluster temperature, or ``None`` without thermals."""
         peak: Optional[float] = None

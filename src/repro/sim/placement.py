@@ -73,10 +73,6 @@ class Placement:
             tasks.extend(self._tasks_on[core.core_id])
         return tasks
 
-    def cluster_task_count(self, cluster: Cluster) -> int:
-        """Number of tasks mapped to ``cluster`` (O(1), incremental)."""
-        return self._cluster_count[cluster.cluster_id]
-
     def has_tasks(self, cluster: Cluster) -> bool:
         """Whether any task is mapped to ``cluster`` (O(1))."""
         return self._cluster_count[cluster.cluster_id] > 0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -63,6 +64,18 @@ class TestAtomicWrite:
         with open(path) as handle:
             assert handle.read() == "abcd"
         assert os.listdir(str(tmp_path)) == ["file.txt"]
+
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"]
+    )
+    def test_file_mode_honours_the_umask(self, tmp_path, umask, mode):
+        path = os.path.join(str(tmp_path), "file.txt")
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(path, "content")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
     def test_failing_piece_iterator_keeps_previous_file(self, tmp_path):
         path = os.path.join(str(tmp_path), "file.txt")

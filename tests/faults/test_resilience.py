@@ -32,6 +32,10 @@ from repro.sim import SimConfig, Simulation
 from repro.tasks import build_workload
 
 
+#: About the TC2 chip's maximum power: both clusters flat out at the top level.
+_MAX_POWER_W = 8.0
+
+
 def _sample(watts: float) -> SensorSample:
     return SensorSample(
         chip_power_w=watts,
@@ -65,20 +69,20 @@ class TestResilienceConfig:
 
 class TestStaleSensorDetector:
     def test_dropout_before_any_good_sample_is_zero(self):
-        detector = StaleSensorDetector()
+        detector = StaleSensorDetector(_MAX_POWER_W)
         trusted = detector.observe(None)
         assert trusted.chip_power_w == 0.0
         assert detector.dropouts == 1
 
     def test_dropout_serves_last_good(self):
-        detector = StaleSensorDetector()
+        detector = StaleSensorDetector(_MAX_POWER_W)
         good = _sample(2.0)
         assert detector.observe(good) is good
         assert detector.observe(None) is good
         assert detector.suspect_reads == 1
 
     def test_stuck_detection_needs_bit_identical_repeats(self):
-        detector = StaleSensorDetector(stale_reads=3)
+        detector = StaleSensorDetector(_MAX_POWER_W, stale_reads=3)
         frozen = _sample(2.5)
         detector.observe(frozen)
         for _ in range(2):
@@ -96,22 +100,44 @@ class TestStaleSensorDetector:
         assert detector.stuck == 1
 
     def test_spike_rejected_against_rolling_median(self):
-        detector = StaleSensorDetector(spike_factor=3.0)
+        detector = StaleSensorDetector(_MAX_POWER_W, spike_factor=3.0)
         for watts in (1.0, 1.1, 0.9, 1.05, 1.0):
             detector.observe(_sample(watts))
         spike = detector.observe(_sample(10.0))
         assert spike.chip_power_w == pytest.approx(1.0)  # last good served
         assert detector.spikes == 1
 
+    def test_step_up_within_max_power_is_admitted(self):
+        # A genuine jump far above the median (a cluster waking at a high
+        # V-F level) is physically possible, so it is served, and the
+        # median follows it instead of latching at the old level.
+        detector = StaleSensorDetector(_MAX_POWER_W, spike_factor=3.0)
+        for watts in (0.8, 0.82, 0.84, 0.83, 0.81):
+            detector.observe(_sample(watts))
+        for i in range(40):
+            step = _sample(6.0 + 0.01 * (i % 3))
+            assert detector.observe(step) is step
+        assert detector.spikes == 0
+        spike = detector.observe(_sample(20.0))
+        assert spike.chip_power_w == pytest.approx(6.0)  # last good served
+        assert detector.spikes == 1
+
+    def test_noise_above_max_power_near_the_median_is_admitted(self):
+        detector = StaleSensorDetector(_MAX_POWER_W, spike_factor=3.0)
+        for watts in (7.6, 7.9, 7.8, 7.7, 7.9):
+            detector.observe(_sample(watts))
+        noisy = _sample(8.3)
+        assert detector.observe(noisy) is noisy
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
     def test_nonphysical_readings_always_rejected(self, bad):
-        detector = StaleSensorDetector()
+        detector = StaleSensorDetector(_MAX_POWER_W)
         good = _sample(1.5)
         detector.observe(good)
         assert detector.observe(_sample(bad)) is good
 
     def test_healthy_stream_passes_through_untouched(self):
-        detector = StaleSensorDetector()
+        detector = StaleSensorDetector(_MAX_POWER_W)
         for i in range(50):
             sample = _sample(1.0 + 0.01 * (i % 7))
             assert detector.observe(sample) is sample
